@@ -21,17 +21,12 @@ from math import gcd
 import mpmath
 
 from .exactnum import FixedReal
+from .seriesdef import _mpf_to_fraction
 from . import binsplit, machin, seriesdef
 
 log = logging.getLogger(__name__)
 
 SCAN_LIMIT = 133  # rates reach -1 just past this integer
-
-
-def _mpf_to_fraction(x):
-    sign, man, exp, _ = x._mpf_
-    f = Fraction(man) * Fraction(2) ** exp
-    return -f if sign else f
 
 
 def _to_mpf(x):

@@ -324,11 +324,8 @@ class IntegralReport:
 
 def _reference_log(p, digits):
     """log p digit string from the cheapest catalog series for p."""
-    for label in seriesdef.catalog_labels():
-        if seriesdef.CATALOG_TARGETS[label] == p:
-            result = binsplit.evaluate(seriesdef.catalog_get(label), digits)
-            return Fraction(result.decimal_digits)
-    raise ValueError(f"no catalog series targets log {p}")
+    spec = seriesdef.catalog_get(seriesdef.cheapest_label(p))
+    return Fraction(binsplit.evaluate(spec, digits).decimal_digits)
 
 
 def integral_value(pair, digits):

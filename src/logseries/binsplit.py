@@ -10,11 +10,9 @@ is T/(B*Q), so the only inexact step is one final scaled division.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .seriesdef import CATALOG_TARGETS, SeriesSpec, estimate_terms
 
@@ -58,7 +56,6 @@ class DigitsResult:
     p: object
     series_label: str
     requested_digits: int
-    verified_against: Optional[str] = None
 
 
 # ----------------------------------------------------------------------
@@ -162,21 +159,13 @@ def split_range(spec: SeriesSpec, lo: int, hi: int) -> SplitNode:
     return _range_node(_compiled(spec), lo, hi)
 
 
-def _root_node(spec: SeriesSpec, n_terms: int, threads: int) -> SplitNode:
-    comp = _compiled(spec)
-    lo, hi = spec.start_index, spec.start_index + n_terms
-    if threads <= 1 or n_terms < 4 * LEAF_TERMS:
-        return _range_node(comp, lo, hi)
-    # fixed, ordered chunking so the merge tree (and hence every integer)
-    # is identical for every thread count
-    bounds = [lo + (hi - lo) * i // (2 * threads) for i in range(2 * threads + 1)]
-    ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        nodes = list(pool.map(lambda ab: _range_node(comp, *ab), ranges))
-    node = nodes[0]
-    for right in nodes[1:]:
-        node = node.merge(right)
-    return node
+def node_sum(spec: SeriesSpec, node: SplitNode) -> Fraction:
+    """Exact sum of the terms a split_range node of `spec` covers.
+
+    Compilation clears the polynomial coefficient denominators, so the
+    node's T/(B*Q) is off by that scale; the normalizer carries it back.
+    """
+    return _compiled(spec).normalizer * node.value()
 
 
 def _target_of(spec: SeriesSpec):
@@ -191,28 +180,30 @@ def _target_of(spec: SeriesSpec):
     return None
 
 
-def evaluate(spec: SeriesSpec, digits: int, threads: int = 1) -> DigitsResult:
+def evaluate(spec: SeriesSpec, digits: int) -> DigitsResult:
     """Decimal expansion of the series limit, truncated to `digits` places.
 
     The emitted digits are the exact floor of value*10^digits: guard
     digits grow until the trailing window pins the truncation down, so
-    a run of 0s or 9s at the boundary can never leak a wrong digit.
+    a run of 0s or 9s at the boundary can never leak a wrong digit. At
+    rho = 0 the series is a finite sum, so its value is exact and needs
+    no guard test.
     """
     if digits < 1:
         raise ValueError("need at least one digit")
     if abs(spec.motive.rho) >= 1:
         raise ValueError(f"{spec.label}: series diverges")
     comp = _compiled(spec)
+    lo = spec.start_index
     guard = 10
     while True:
         slack = guard + comp.coeff_digits + 10
         n_terms = estimate_terms(spec, digits + slack)
-        node = _root_node(spec, n_terms, threads)
-        val = comp.normalizer * node.value()
+        val = node_sum(spec, _range_node(comp, lo, lo + n_terms))
         neg = val < 0
         scaled = abs(val.numerator) * 10 ** (digits + guard) // val.denominator
         window = scaled % 10 ** guard
-        if window != 0 and window != 10 ** guard - 1:
+        if spec.motive.rho == 0 or window not in (0, 10 ** guard - 1):
             break
         guard *= 2
     scaled //= 10 ** guard
@@ -226,15 +217,14 @@ def evaluate(spec: SeriesSpec, digits: int, threads: int = 1) -> DigitsResult:
     )
 
 
-def cross_verify(spec_a: SeriesSpec, spec_b: SeriesSpec, digits: int,
-                 threads: int = 1) -> int:
+def cross_verify(spec_a: SeriesSpec, spec_b: SeriesSpec, digits: int) -> int:
     """Count agreeing leading digits of two series for the same constant.
 
     Raises VerificationError (naming the first differing position) if
     they agree to fewer than `digits` places.
     """
-    ra = evaluate(spec_a, digits, threads)
-    rb = evaluate(spec_b, digits, threads)
+    ra = evaluate(spec_a, digits)
+    rb = evaluate(spec_b, digits)
     agree = 0
     for pos, (ca, cb) in enumerate(zip(ra.decimal_digits, rb.decimal_digits)):
         if ca != cb:
@@ -265,6 +255,3 @@ def render_digit_rows(result: DigitsResult) -> str:
         lines.append((prefix if row_start == 0 else " " * len(prefix)) + blocks)
     return "\n".join(lines)
 
-
-def with_verification(result: DigitsResult, against: str) -> DigitsResult:
-    return replace(result, verified_against=against)

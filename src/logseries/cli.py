@@ -60,31 +60,21 @@ def _emit(text, out_path):
 #  compute
 # ----------------------------------------------------------------------
 
-def _cheapest_label_for(p):
-    labels = [lab for lab in seriesdef.catalog_labels()
-              if seriesdef.CATALOG_TARGETS[lab] == p]
-    if not labels:
-        raise ValueError(f"no catalog series targets log({p}); "
-                         f"use --series with a custom label or the family command")
-    return min(labels, key=lambda lab: float(
-        seriesdef.binary_splitting_cost(seriesdef.catalog_get(lab))))
-
-
 def _cmd_compute(args):
     if args.series is None and args.p is None:
         raise UsageError("compute needs --p or --series")
-    label = args.series if args.series is not None else _cheapest_label_for(args.p)
+    label = args.series
+    if label is None:
+        label = seriesdef.cheapest_label(args.p)
     spec = seriesdef.catalog_get(label)
     if args.p is not None and seriesdef.CATALOG_TARGETS.get(label) != args.p:
         raise UsageError(f"series {label} does not compute log({args.p})")
 
-    result = binsplit.evaluate(spec, args.digits, threads=args.threads)
+    result = binsplit.evaluate(spec, args.digits)
     lines = [binsplit.render_digit_rows(result)]
     if args.verify:
         other = seriesdef.catalog_get(args.verify)
-        agreed = binsplit.cross_verify(spec, other, args.digits,
-                                       threads=args.threads)
-        result = binsplit.with_verification(result, args.verify)
+        agreed = binsplit.cross_verify(spec, other, args.digits)
         lines.append(f"# verified against {args.verify}: "
                      f"first {agreed} digits agree")
     _emit("\n".join(lines), args.out)
@@ -255,7 +245,7 @@ def _cmd_family(args):
     p = int(args.p) if args.p.denominator == 1 else args.p
     spec = _FAMILIES[args.method](p)
     if args.digits:
-        result = binsplit.evaluate(spec, args.digits, threads=args.threads)
+        result = binsplit.evaluate(spec, args.digits)
         _emit(binsplit.render_digit_rows(result), args.out)
         return 0
     cost = seriesdef.binary_splitting_cost(spec)
@@ -296,7 +286,6 @@ def _build_parser():
                            "(default: cheapest series for --p)")
     p_compute.add_argument("--verify", metavar="LABEL",
                            help="cross-check against a second catalog series")
-    p_compute.add_argument("--threads", type=_positive_int, default=1)
     p_compute.add_argument("--out", help="write the digits to a file")
     p_compute.set_defaults(handler=_cmd_compute)
 
@@ -363,7 +352,6 @@ def _build_parser():
                           help="target, an integer or a fraction like 5/2")
     p_family.add_argument("--digits", type=_positive_int,
                           help="also evaluate to this many digits")
-    p_family.add_argument("--threads", type=_positive_int, default=1)
     p_family.add_argument("--out")
     p_family.set_defaults(handler=_cmd_family)
 

@@ -18,19 +18,6 @@ from math import gcd
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(0)
 
-# Rational values are plain fractions.Fraction instances: always reduced,
-# positive denominator, exact arithmetic. The alias documents intent.
-BigRational = Fraction
-
-
-def rational_pow(x, k):
-    """Exact x**k for rational x and signed integer k."""
-    x = Fraction(x)
-    if k < 0 and x == 0:
-        raise ZeroDivisionError("0 cannot be raised to a negative power")
-    return x ** k
-
-
 # ----------------------------------------------------------------------
 #  Gaussian rationals
 # ----------------------------------------------------------------------
@@ -276,13 +263,6 @@ class FixedReal:
         return f"FixedReal({self.to_decimal(12)}..., bits={self.bit_precision})"
 
 
-def fixed_from_rational(x, bits):
-    """|result - x| <= 2**(-bits)."""
-    if bits < 8:
-        raise ValueError("bits must be at least 8")
-    return FixedReal.from_rational(x, bits)
-
-
 # ----------------------------------------------------------------------
 #  Polynomials
 # ----------------------------------------------------------------------
@@ -432,11 +412,6 @@ class IntPoly:
 
     def __repr__(self):
         return f"IntPoly({list(self.coefficients)})"
-
-
-def poly_eval(p, x):
-    """Exact evaluation of p at rational x."""
-    return p(Fraction(x))
 
 
 def poly_gcd(f, g):

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import BigRational
-
 
 def _atanh_interval(b, scale):
     """Enclosure of atanh(1/b) * 10**scale as an integer pair (lo, hi)."""
@@ -96,7 +94,7 @@ def log_decimal(x, digits):
     The result is the exact floor of log(x) * 10**digits; the guard width
     grows until the enclosure pins every requested digit down.
     """
-    x = BigRational(x)
+    x = Fraction(x)
     if x <= 0:
         raise ValueError("log of a nonpositive value")
     if x == 1:

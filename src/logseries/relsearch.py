@@ -103,43 +103,25 @@ class RelationCandidate:
 #  Partial sums
 # ----------------------------------------------------------------------
 
-def _sums_exact(motive: Motive, denom_poly: IntPoly, top_i: int,
-                n_terms: int) -> List[Fraction]:
-    """[s_0, ..., s_top_i] truncated at n_terms, as exact rationals."""
-    t = Fraction(1)
-    totals = [Fraction(0) for _ in range(top_i + 1)]
-    for n in range(1, n_terms + 1):
-        num = Fraction(1)
-        den = Fraction(1)
-        for a in motive.num_params:
-            num *= n - 1 + a
-        for b in motive.den_params:
-            den *= n - 1 + b
-        t *= motive.rho * num / den
-        r_n = denom_poly(n)
-        if r_n == 0:
-            raise ValueError(f"series denominator vanishes at n={n}")
-        base = t / r_n
-        power = 1
-        for i in range(top_i + 1):
-            totals[i] += base * power
-            power *= n
-    return totals
+def _exact_si(motive: Motive, denom_poly: IntPoly, i: int, N: int) -> Fraction:
+    """s_i truncated at N, exactly: the binary-splitting sum of a series
+    with numerator n^i over denom_poly."""
+    spec = SeriesSpec(motive, IntPoly([0] * i + [1]), denom_poly,
+                      Fraction(1), 1, f"s_{i}")
+    return binsplit.node_sum(spec, binsplit.split_range(spec, 1, N + 1))
 
 
 def partial_sum_si(motive: Motive, denom_poly: IntPoly, i: int, N: int,
                    bits: int) -> FixedReal:
     """Sum over n=1..N of n^i/denom(n) * prod_{k<=n} rho*num(k)/den(k).
 
-    The recurrence runs in exact rationals; only the final value is
-    rounded to `bits`.
+    The sum is exact; only the final value is rounded to `bits`.
     """
     if i < 0:
         raise ValueError("need i >= 0")
     if N < 1:
         raise ValueError("need N >= 1")
-    return FixedReal.from_rational(_sums_exact(motive, denom_poly, i, N)[i],
-                                   bits)
+    return FixedReal.from_rational(_exact_si(motive, denom_poly, i, N), bits)
 
 
 def motive_denominator(motive: Motive) -> IntPoly:
@@ -318,7 +300,7 @@ def _admissible_points(strategy: LatticeStrategy, d: int, wd: int):
 
 def _examine_point(motive, r_poly, target, h, rho, n_terms, bits, cost):
     point = Motive(motive.num_params, motive.den_params, rho)
-    exact = _sums_exact(point, r_poly, h, n_terms)
+    exact = [_exact_si(point, r_poly, i, n_terms) for i in range(h + 1)]
     sums = [FixedReal.from_rational(x, bits) for x in exact]
     tgt = FixedReal.from_rational(target.to_fraction(), bits)
     values = [tgt] + [sums[i] for i in range(h, -1, -1)]

@@ -22,7 +22,7 @@ from typing import Optional, Tuple, Union
 
 import mpmath
 
-from .exactnum import BigRational, FixedReal, GaussianRational, IntPoly
+from .exactnum import FixedReal, GaussianRational, IntPoly
 
 
 def _mpf_to_fraction(x):
@@ -96,8 +96,10 @@ class SeriesSpec:
             raise ValueError(
                 f"{self.label}: denominator degree "
                 f"{self.denominator_poly.degree()} != motive d {self.motive.d}")
-        if self.denominator_poly.integer_roots_at_or_above(self.start_index):
-            raise ValueError(f"{self.label}: denominator vanishes at a term index")
+        roots = self.denominator_poly.integer_roots_at_or_above(self.start_index)
+        if roots:
+            raise ValueError(
+                f"{self.label}: denominator vanishes at n={roots[0]}")
 
     def term(self, n):
         """Exact value of term n including normalizer (slow; for testing)."""
@@ -144,20 +146,6 @@ class D2Params:
 # ----------------------------------------------------------------------
 #  Generic operations
 # ----------------------------------------------------------------------
-
-def term_ratio(spec: SeriesSpec, k: int) -> Fraction:
-    """r(k)/q(k) of the motive product form: H(n) = prod_{k=1..n} r(k)/q(k)."""
-    if k < 1:
-        raise ValueError("term ratio is defined for k >= 1")
-    m = spec.motive
-    num = Fraction(1)
-    den = Fraction(1)
-    for r in m.num_params:
-        num *= k - 1 + r
-    for q in m.den_params:
-        den *= k - 1 + q
-    return m.rho * num / den
-
 
 def binary_splitting_cost(spec: SeriesSpec, bits: int = 96) -> FixedReal:
     """-4d / ln|rho|: a priori ranking of series speed (lower is faster)."""
@@ -275,6 +263,15 @@ def catalog_get(label: str) -> SeriesSpec:
         raise KeyError(f"unknown series label {label!r}; "
                        f"known: {', '.join(_CATALOG)}") from None
     return builder()
+
+
+def cheapest_label(p) -> str:
+    """The catalog series for log p with the lowest binary splitting cost."""
+    labels = [lab for lab in catalog_labels() if CATALOG_TARGETS[lab] == p]
+    if not labels:
+        raise ValueError(f"no catalog series targets log({p})")
+    return min(labels, key=lambda lab: float(
+        binary_splitting_cost(catalog_get(lab))))
 
 
 def catalog_export() -> str:

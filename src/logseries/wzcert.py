@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable
 
-from .exactnum import FixedReal, GaussianRational, fixed_from_rational
+from .exactnum import FixedReal, GaussianRational
 
 
 def _as_parameter(p):
@@ -201,8 +201,8 @@ def gst_series_sum(cert, n_terms, bits):
         total = total + term
         previous = size
     return CertificateSum(
-        real=fixed_from_rational(total.re, bits),
-        imag=fixed_from_rational(total.im, bits),
+        real=FixedReal.from_rational(total.re, bits),
+        imag=FixedReal.from_rational(total.im, bits),
         terms=n_terms + 1,
         conjugate_pair=not ctx.p.is_rational(),
     )
@@ -275,8 +275,8 @@ def limit_conditions_check(cert, n_probe, bits):
             reason = "row sums do not decay"
     return LimitReport(
         cert.label, n_probe, used,
-        fixed_from_rational(size, bits),
-        fixed_from_rational(tail, bits),
+        FixedReal.from_rational(size, bits),
+        FixedReal.from_rational(tail, bits),
         passed, reason,
     )
 

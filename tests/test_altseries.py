@@ -82,7 +82,7 @@ def test_detect_rational_basics():
     assert alt.detect_rational(exact, 64) == Fraction(1, 2)
     with mpmath.workprec(360):
         pi_fixed = FixedReal.from_rational(
-            alt._mpf_to_fraction(+mpmath.pi), 340)
+            sd._mpf_to_fraction(+mpmath.pi), 340)
     assert alt.detect_rational(pi_fixed, 40) is None
     with pytest.raises(ValueError):
         alt.detect_rational(FixedReal.from_rational(Fraction(1, 3), 64), 64)

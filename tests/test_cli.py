@@ -5,7 +5,12 @@ never raise; 0 success, 1 computational failure, 2 usage error.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import logseries
 from logseries import cli, machin
 
 
@@ -281,3 +286,17 @@ def test_family_domain_violation(capsys):
 
 def test_family_malformed_target(capsys):
     assert invoke(capsys, ["family", "--method", "d4", "--p", "abc"])[0] == 2
+
+
+def test_family_at_p_one_is_exact_zero():
+    # every family has rho = 0 and sums to exactly 0 at p = 1; the timeout
+    # makes a guard window that never settles fail instead of hang
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(logseries.__file__).resolve().parents[1]))
+    for method in ("level1", "level2", "d4", "d6"):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from logseries import cli; cli.main()",
+             "family", "--method", method, "--p", "1", "--digits", "5"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert digits_from_rows(proc.stdout) == machin.log_decimal(1, 5)

@@ -1,3 +1,5 @@
+import ast
+import inspect
 from fractions import Fraction
 
 import mpmath
@@ -61,3 +63,17 @@ def test_log_one_and_bad_input():
         machin.log_decimal(0, 10)
     with pytest.raises(ValueError):
         machin.log_decimal(Fraction(-2, 3), 10)
+
+
+def test_oracle_imports_nothing_from_the_package():
+    # the oracle referees the series code, so it must share none of it
+    for node in ast.walk(ast.parse(inspect.getsource(machin))):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            names = [node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] != "logseries", ast.unparse(node)

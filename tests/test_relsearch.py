@@ -48,6 +48,23 @@ def test_weighted_sums_rebuild_log3():
     assert abs(combo - want) < Fraction(1, 10 ** 100)
 
 
+def test_kernel_sums_match_an_independent_fraction_sum():
+    sig6 = _m2a(Fraction(1, 3888))
+    alternating = _m2a(Fraction(-1, 675))
+    d4 = catalog_get("log2-eq9").motive
+    fractional = IntPoly([Fraction(1, 3), Fraction(-1, 2), Fraction(5, 6)])
+    cases = [(m, rs.motive_denominator(m)) for m in (sig6, alternating, d4)]
+    cases.append((sig6, fractional))
+    n_terms, bits = 25, 800
+    for motive, denom in cases:
+        for i in range(4):
+            want = sum((Fraction(n ** i) / denom(n) * motive.rho ** n
+                        * motive.value(n) for n in range(1, n_terms + 1)),
+                       Fraction(0))
+            got = rs.partial_sum_si(motive, denom, i, n_terms, bits)
+            assert got == FixedReal.from_rational(want, bits), (motive, i)
+
+
 def test_partial_sum_rejects_bad_arguments():
     motive = _m2a(Fraction(1, 243))
     r_poly = rs.motive_denominator(motive)

@@ -33,22 +33,6 @@ def test_series_spec_validation():
                       Fraction(1), 1, "bad")
 
 
-def test_term_ratio_reference_points():
-    assert sd.term_ratio(sd.catalog_get("log2-eq8"), 1) == Fraction(1, 1080)
-    assert sd.term_ratio(sd.catalog_get("log3-eq8a"), 1) == Fraction(2, 135)
-    with pytest.raises(ValueError):
-        sd.term_ratio(sd.catalog_get("log2-eq8"), 0)
-
-
-def test_term_ratio_tends_to_rho():
-    for label in sd.catalog_labels():
-        spec = sd.catalog_get(label)
-        if spec.motive.rho == 0:
-            continue
-        ratio = sd.term_ratio(spec, 10 ** 9) / spec.motive.rho
-        assert abs(ratio - 1) < Fraction(1, 10 ** 7)
-
-
 PRINTED_COSTS = {
     "log2-eq8": Fraction(9679, 10000),
     "log3-eq8a": Fraction(14564, 10000),
