@@ -27,6 +27,9 @@ from . import binsplit, machin, seriesdef
 log = logging.getLogger(__name__)
 
 SCAN_LIMIT = 133  # rates reach -1 just past this integer
+# Rational detection of the rate and of the coefficients works on 64-bit
+# denominators and needs three times that precision.
+MIN_BITS = 3 * 64
 
 
 def _to_mpf(x):
@@ -242,8 +245,8 @@ def abc_from_solution(p, r, phi, rho):
     rational (the filter that discards non-sporadic p)."""
     rho = Fraction(rho)
     bits = min(r.bit_precision, phi.bit_precision)
-    if bits < 192:
-        raise ValueError("need at least 192 bits in (r, phi)")
+    if bits < MIN_BITS:
+        raise ValueError(f"need at least {MIN_BITS} bits in (r, phi)")
     with mpmath.workprec(bits + 48):
         rate = rho_from_r_phi(r, phi, bits)
         if abs(rate.to_fraction() - rho) > Fraction(1, 2 ** (bits // 2)):
@@ -378,10 +381,13 @@ def scan_range(p_lo, p_hi, bits=512):
     Each candidate rate must survive rational detection at full solver
     precision, yield rational series coefficients, and reproduce log p
     to 50 digits against the independent oracle; per-p failures are
-    logged and the scan moves on.
+    logged and the scan moves on. Below MIN_BITS every p would fail that
+    way, so such a precision is rejected up front.
     """
     if not 2 <= p_lo <= p_hi <= SCAN_LIMIT:
         raise ValueError(f"scan range must sit inside [2, {SCAN_LIMIT}]")
+    if bits < MIN_BITS:
+        raise ValueError(f"need at least {MIN_BITS} bits, got {bits}")
     hits = []
     for p in range(p_lo, p_hi + 1):
         try:

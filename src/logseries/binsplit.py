@@ -4,11 +4,17 @@ The series is compiled once into integer-only per-term factors (motive
 parameter denominators, rho's fraction, and polynomial coefficient
 denominators are all cleared up front), then term ranges are folded
 into 4-integer nodes that merge exactly. The partial sum over a range
-is T/(B*Q), so the only inexact step is one final scaled division.
+is T/(B*Q) times the compiled normalizer n/d. `evaluate` builds leaves
+of up to INT_LEAF_TERMS terms in int and does every merge above them,
+and the floor of |n*T|*10^k / |d*B*Q|, as exact integer arithmetic in
+libmpdec (`decimal`), whose number-theoretic-transform multiply and
+Newton division outrun int's at these sizes. No step rounds: the
+decimal context traps any inexact result.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +23,19 @@ from functools import lru_cache
 from .seriesdef import CATALOG_TARGETS, SeriesSpec, estimate_terms
 
 LEAF_TERMS = 8
+# Terms per leaf built in int under evaluate's decimal upper tree. int
+# multiplies small operands faster than libmpdec, and converting a leaf
+# to Decimal takes time quadratic in its length, so leaves stay short;
+# 128 to 512 terms time alike at 10^5 digits.
+INT_LEAF_TERMS = 512
+
+# Integer arithmetic in libmpdec as exact as int's: precision and
+# exponent range as large as the platform allows, and every rounding
+# trapped, so an inexact step raises instead of printing a wrong digit.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+           decimal.DivisionByZero, decimal.Overflow])
 
 
 class VerificationError(Exception):
@@ -26,6 +45,9 @@ class VerificationError(Exception):
 @dataclass(frozen=True)
 class SplitNode:
     """Exact accumulator for a contiguous term range [lo, hi).
+
+    The fields are ints, or integer-valued Decimals in the upper tree
+    that evaluate builds.
 
     P: product of cleared motive-ratio numerators x(k)
     Q: product of cleared motive-ratio denominators y(k)
@@ -152,6 +174,20 @@ def _range_node(comp: _Compiled, lo: int, hi: int) -> SplitNode:
     return _range_node(comp, lo, mid).merge(_range_node(comp, mid, hi))
 
 
+def _decimal_node(comp: _Compiled, lo: int, hi: int) -> SplitNode:
+    """Node for [lo, hi) whose P, Q, B, T are integer-valued Decimals.
+
+    Leaves come from _range_node in int; every merge above them runs in
+    the current decimal context, which must be _EXACT.
+    """
+    if hi - lo <= INT_LEAF_TERMS:
+        leaf = _range_node(comp, lo, hi)
+        return SplitNode(decimal.Decimal(leaf.P), decimal.Decimal(leaf.Q),
+                         decimal.Decimal(leaf.B), decimal.Decimal(leaf.T))
+    mid = (lo + hi) // 2
+    return _decimal_node(comp, lo, mid).merge(_decimal_node(comp, mid, hi))
+
+
 def split_range(spec: SeriesSpec, lo: int, hi: int) -> SplitNode:
     """Exact node for terms lo..hi-1 of the series."""
     if not spec.start_index <= lo < hi:
@@ -160,7 +196,8 @@ def split_range(spec: SeriesSpec, lo: int, hi: int) -> SplitNode:
 
 
 def node_sum(spec: SeriesSpec, node: SplitNode) -> Fraction:
-    """Exact sum of the terms a split_range node of `spec` covers.
+    """Exact sum of the terms a split_range node of `spec` covers, as a
+    reduced Fraction (the relation search needs it exact).
 
     Compilation clears the polynomial coefficient denominators, so the
     node's T/(B*Q) is off by that scale; the normalizer carries it back.
@@ -194,21 +231,27 @@ def evaluate(spec: SeriesSpec, digits: int) -> DigitsResult:
     if abs(spec.motive.rho) >= 1:
         raise ValueError(f"{spec.label}: series diverges")
     comp = _compiled(spec)
+    n, d = comp.normalizer.numerator, comp.normalizer.denominator
     lo = spec.start_index
     guard = 10
-    while True:
-        slack = guard + comp.coeff_digits + 10
-        n_terms = estimate_terms(spec, digits + slack)
-        val = node_sum(spec, _range_node(comp, lo, lo + n_terms))
-        neg = val < 0
-        scaled = abs(val.numerator) * 10 ** (digits + guard) // val.denominator
-        window = scaled % 10 ** guard
-        if spec.motive.rho == 0 or window not in (0, 10 ** guard - 1):
-            break
-        guard *= 2
-    scaled //= 10 ** guard
-    ip, frac = divmod(scaled, 10 ** digits)
-    text = f"{'-' if neg else ''}{ip}.{frac:0{digits}d}"
+    with decimal.localcontext(_EXACT):
+        while True:
+            slack = guard + comp.coeff_digits + 10
+            n_terms = estimate_terms(spec, digits + slack)
+            root = _decimal_node(comp, lo, lo + n_terms)
+            num, den = n * root.T, d * root.B * root.Q
+            del root  # the division is the memory peak; drop P, Q, B, T
+            neg = num != 0 and (num < 0) != (den < 0)
+            scaled = abs(num).scaleb(digits + guard) // abs(den)
+            del num, den
+            ten_guard = decimal.Decimal(10) ** guard
+            window = scaled % ten_guard
+            if spec.motive.rho == 0 or window not in (0, ten_guard - 1):
+                break
+            guard *= 2
+        text = str(scaled // ten_guard)
+    ip, frac = text[:-digits] or "0", text[-digits:].rjust(digits, "0")
+    text = f"{'-' if neg else ''}{ip}.{frac}"
     return DigitsResult(
         decimal_digits=text,
         p=_target_of(spec),
@@ -217,13 +260,23 @@ def evaluate(spec: SeriesSpec, digits: int) -> DigitsResult:
     )
 
 
-def cross_verify(spec_a: SeriesSpec, spec_b: SeriesSpec, digits: int) -> int:
+def cross_verify(spec_a: SeriesSpec, spec_b: SeriesSpec, digits: int,
+                 result_a: DigitsResult | None = None) -> int:
     """Count agreeing leading digits of two series for the same constant.
 
     Raises VerificationError (naming the first differing position) if
-    they agree to fewer than `digits` places.
+    they agree to fewer than `digits` places. A caller that already has
+    evaluate(spec_a, digits) passes it as `result_a` to skip evaluating
+    spec_a again.
     """
-    ra = evaluate(spec_a, digits)
+    if result_a is None:
+        ra = evaluate(spec_a, digits)
+    elif (result_a.series_label, result_a.requested_digits) != (spec_a.label,
+                                                                digits):
+        raise ValueError(f"result_a is not the {digits}-digit evaluation "
+                         f"of {spec_a.label}")
+    else:
+        ra = result_a
     rb = evaluate(spec_b, digits)
     agree = 0
     for pos, (ca, cb) in enumerate(zip(ra.decimal_digits, rb.decimal_digits)):

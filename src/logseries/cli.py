@@ -27,6 +27,15 @@ def _positive_int(text):
     return value
 
 
+def _solver_bits(text):
+    value = _positive_int(text)
+    if value < altseries.MIN_BITS:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {altseries.MIN_BITS}, the precision rational "
+            f"detection of the rate needs")
+    return value
+
+
 def _prime_list(text):
     try:
         primes = tuple(int(part) for part in text.split(","))
@@ -74,7 +83,7 @@ def _cmd_compute(args):
     lines = [binsplit.render_digit_rows(result)]
     if args.verify:
         other = seriesdef.catalog_get(args.verify)
-        agreed = binsplit.cross_verify(spec, other, args.digits)
+        agreed = binsplit.cross_verify(spec, other, args.digits, result)
         lines.append(f"# verified against {args.verify}: "
                      f"first {agreed} digits agree")
     _emit("\n".join(lines), args.out)
@@ -340,7 +349,7 @@ def _build_parser():
     which.add_argument("--p", type=_positive_int, help="solve one target")
     which.add_argument("--scan", type=_positive_int, nargs=2,
                        metavar=("LO", "HI"), help="scan a range of targets")
-    p_alt.add_argument("--bits", type=_positive_int, default=512,
+    p_alt.add_argument("--bits", type=_solver_bits, default=512,
                        help="working precision for the solver")
     p_alt.add_argument("--out")
     p_alt.set_defaults(handler=_cmd_alternating)

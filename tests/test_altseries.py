@@ -176,6 +176,8 @@ def test_scan_range_validation():
         alt.scan_range(5, 200)
     with pytest.raises(ValueError):
         alt.scan_range(9, 6)
+    with pytest.raises(ValueError):
+        alt.scan_range(5, 5, bits=alt.MIN_BITS - 1)
 
 
 def test_solution_invariants():

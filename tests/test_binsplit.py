@@ -1,3 +1,4 @@
+import decimal
 import random
 from fractions import Fraction
 
@@ -136,3 +137,69 @@ def test_render_digit_rows_layout():
     assert first.split(" ") == [first[i * 11:i * 11 + 10] for i in range(10)]
     assert len(lines) == 1 + 3  # 250 digits -> two full rows + one of 50
     assert len(lines[3].strip().replace(" ", "")) == 50
+
+
+# ----------------------------------------------------------------------
+#  int leaves under a decimal upper tree
+# ----------------------------------------------------------------------
+
+def test_evaluate_matches_oracle_10000_digits():
+    for label in ("log2-eq8", "log2-eq18", "log10-tableI"):
+        got = bs.evaluate(sd.catalog_get(label), 10000).decimal_digits
+        want = machin.log_decimal(sd.CATALOG_TARGETS[label], 10000)
+        assert got == want, label
+
+
+def test_leaf_size_boundary(monkeypatch):
+    # term counts just above, at and just below the leaf size: one leaf
+    # converted whole, or two leaves merged in decimal; a 3-term leaf
+    # makes a deep decimal tree with uneven halves
+    spec = sd.catalog_get("log2-eq9")
+    digits = 1200
+    want = machin.log_decimal(2, digits)
+    seen = []
+    real = bs.estimate_terms
+    with monkeypatch.context() as m:
+        m.setattr(bs, "estimate_terms",
+                  lambda s, d: seen.append(real(s, d)) or seen[-1])
+        bs.evaluate(spec, digits)
+    n = seen[-1]
+    for leaf in (n + 1, n, n - 1, 3):
+        monkeypatch.setattr(bs, "INT_LEAF_TERMS", leaf)
+        assert bs.evaluate(spec, digits).decimal_digits == want, leaf
+
+
+def test_negative_limit():
+    target = Fraction(1, 2)
+    for spec in (sd.d4_family(target), sd.level2_series(target)):
+        got = bs.evaluate(spec, 3000).decimal_digits
+        assert got.startswith("-0.693")
+        assert got == machin.log_decimal(target, 3000), spec.label
+
+
+def test_caller_decimal_context_is_neither_read_nor_changed():
+    want = machin.log_decimal(2, 3000)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        ctx.traps[decimal.Inexact] = True
+        ctx.clear_flags()
+        before = (ctx.prec, dict(ctx.traps), dict(ctx.flags))
+        got = bs.evaluate(sd.catalog_get("log2-eq8"), 3000).decimal_digits
+        assert decimal.getcontext() is ctx
+        assert (ctx.prec, dict(ctx.traps), dict(ctx.flags)) == before
+    assert got == want
+
+
+def test_cross_verify_reuses_a_precomputed_result(monkeypatch):
+    spec_a, spec_b = sd.catalog_get("log2-eq8"), sd.catalog_get("log3-eq8a")
+    result_a = bs.evaluate(spec_a, 50)
+    calls = []
+    real = bs.evaluate
+    monkeypatch.setattr(bs, "evaluate",
+                        lambda spec, digits: calls.append(spec.label)
+                        or real(spec, digits))
+    with pytest.raises(bs.VerificationError):
+        bs.cross_verify(spec_a, spec_b, 50, result_a)
+    assert calls == ["log3-eq8a"]
+    with pytest.raises(ValueError):
+        bs.cross_verify(spec_b, spec_a, 50, result_a)

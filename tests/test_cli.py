@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import logseries
-from logseries import cli, machin
+from logseries import binsplit, cli, machin
 
 
 def invoke(capsys, argv):
@@ -48,6 +48,20 @@ def test_compute_verification_line(capsys):
     assert code == 0
     assert "# verified against log2-eq11" in out
     assert "digits agree" in out
+
+
+def test_compute_verify_evaluates_each_series_once(capsys, monkeypatch):
+    calls = []
+    real = binsplit.evaluate
+    monkeypatch.setattr(binsplit, "evaluate",
+                        lambda spec, digits: calls.append(spec.label)
+                        or real(spec, digits))
+    code, out, _ = invoke(capsys, ["compute", "--p", "2", "--digits", "200",
+                                   "--series", "log2-eq8",
+                                   "--verify", "log2-eq9"])
+    assert code == 0
+    assert "# verified against log2-eq9" in out
+    assert sorted(calls) == ["log2-eq8", "log2-eq9"]
 
 
 def test_compute_zero_digits_is_usage_error(capsys):
@@ -246,6 +260,21 @@ def test_alternating_bad_scan_bounds(capsys):
     assert err
 
 
+def test_alternating_bits_below_detection_floor_is_usage_error(capsys):
+    code, out, err = invoke(capsys, ["alternating", "--scan", "2", "12",
+                                     "--bits", "64"])
+    assert code == 2
+    assert "192" in err
+    assert not out
+
+
+def test_alternating_bits_at_detection_floor(capsys):
+    code, out, _ = invoke(capsys, ["alternating", "--scan", "2", "12",
+                                   "--bits", "192"])
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[1:]] == ["5", "10"]
+
+
 def test_alternating_needs_exactly_one_mode(capsys):
     assert invoke(capsys, ["alternating"])[0] == 2
     assert invoke(capsys, ["alternating", "--p", "5",
@@ -300,3 +329,14 @@ def test_family_at_p_one_is_exact_zero():
             capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
         assert digits_from_rows(proc.stdout) == machin.log_decimal(1, 5)
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(logseries.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "logseries", "compute", "--p", "2",
+         "--digits", "20"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert digits_from_rows(proc.stdout) == machin.log_decimal(2, 20)
