@@ -2,11 +2,12 @@
 
 Fixing the motive parameter lists and walking the rate over products of
 small prime powers, each candidate rate yields weighted partial sums
-s_0..s_h of the term recurrence. An exact LLL pass then asks whether an
-integer combination of those sums reproduces the target constant.
-Detection alone is not trusted: every hit is re-tested against a finer
-slice of the target, rebuilt as a series, and must reproduce the target
-to 50 digits through binary splitting before it is reported.
+s_0..s_h of the term recurrence. A fixed-point PSLQ pass (mpmath) then
+asks whether an integer combination of those sums reproduces the target
+constant. Detection alone is not trusted: every hit is checked in exact
+rationals, re-tested against a finer slice of the target, rebuilt as a
+series, and must reproduce the target to 50 digits through binary
+splitting before it is reported.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
+import mpmath
+
 from . import binsplit
 from .exactnum import FixedReal, IntPoly
 from .seriesdef import Motive, SeriesSpec
@@ -30,6 +33,10 @@ LOG2_10 = math.log2(10)
 # Squared-norm ceiling for accepted relation vectors: dimension << 205.
 # Anything larger is lattice noise, not a 64-bit-coefficient relation.
 COEFF_NORM_BITS = 205
+
+# PSLQ iteration cap: the catalog searches end within ~300 steps; a call
+# that reaches it reports no relation.
+PSLQ_MAX_STEPS = 2000
 
 
 # ----------------------------------------------------------------------
@@ -134,96 +141,21 @@ def motive_denominator(motive: Motive) -> IntPoly:
 
 
 # ----------------------------------------------------------------------
-#  Exact LLL
+#  Relation detection
 # ----------------------------------------------------------------------
-
-def _dot(a, b):
-    total = 0
-    for x, y in zip(a, b):
-        total += x * y
-    return total
-
-
-def _gram(rows):
-    """Exact Gram-Schmidt data: (mu lower-triangular, squared norms).
-
-    Rows whose projection vanishes (dependent input) get norm 0 and are
-    skipped as projection targets.
-    """
-    n = len(rows)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    ortho = []
-    norms = []
-    for i in range(n):
-        v = [Fraction(x) for x in rows[i]]
-        for j in range(i):
-            if norms[j] == 0:
-                continue
-            mu[i][j] = _dot(rows[i], ortho[j]) / norms[j]
-            v = [a - mu[i][j] * b for a, b in zip(v, ortho[j])]
-        ortho.append(v)
-        norms.append(_dot(v, v))
-    return mu, norms
-
-
-def lll_reduce(basis: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Lovasz-reduced basis of the integer row lattice, delta = 99/100.
-
-    Exact rational arithmetic throughout; the tiny dimensions here make
-    that affordable and remove the usual floating-point fragility.
-    Rank-deficient input is logged and reduced as far as the nonzero
-    projections allow.
-    """
-    rows = [[int(x) for x in row] for row in basis]
-    if not rows:
-        return []
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ValueError("basis rows must share a width")
-    n = len(rows)
-    delta = Fraction(99, 100)
-    mu, norms = _gram(rows)
-    if 0 in norms:
-        log.warning("rank-deficient basis: %d rows span rank %d",
-                    n, sum(1 for x in norms if x != 0))
-    k = 1
-    while k < n:
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                rows[k] = [a - q * b for a, b in zip(rows[k], rows[j])]
-                for jj in range(j):
-                    mu[k][jj] -= q * mu[j][jj]
-                mu[k][j] -= q
-        if norms[k - 1] == 0 or \
-                norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
-            k += 1
-        else:
-            rows[k - 1], rows[k] = rows[k], rows[k - 1]
-            mu, norms = _gram(rows)
-            k = max(k - 1, 1)
-    return rows
-
-
-def _scaled_mantissa(value: FixedReal, bits: int) -> int:
-    shift = value.bit_precision - bits
-    if shift == 0:
-        return value.mantissa
-    half = 1 << (shift - 1)
-    m = value.mantissa
-    return (m + half) >> shift if m >= 0 else -((-m + half) >> shift)
-
 
 def lindep(values: Sequence[FixedReal], max_coeff_bits: int) -> Optional[List[int]]:
     """Integer vector v with sum(v_j * values_j) below 2^(-prec/2), or
-    None when the best lattice vector fails the acceptance bounds.
+    None when no vector within the acceptance bounds is detected.
 
     prec is the shared (minimum) precision of the inputs and must cover
     the coefficients being sought: at least count*max_coeff_bits + 64,
-    otherwise the call refuses rather than guess. The lattice is the
-    identity block with one column of values scaled by 2^prec; accepted
-    vectors need a nonzero first coefficient (the target's), squared
-    norm under dim*2^205, and the residual bound checked exactly.
+    otherwise the call refuses rather than guess. Detection is mpmath's
+    fixed-point PSLQ at prec bits, which needs nonzero inputs: a value
+    already below the bound is left out of it (and is itself the answer
+    when it is the first one). Acceptance is exact: a nonzero first
+    coefficient (the target's), squared norm under count*2^205, and the
+    residual bound checked on the inputs as exact rationals.
     """
     vals = list(values)
     if len(vals) < 2:
@@ -237,23 +169,29 @@ def lindep(values: Sequence[FixedReal], max_coeff_bits: int) -> Optional[List[in
             f"{len(vals)} values at {max_coeff_bits} coefficient bits "
             f"need {need} shared bits, have {prec}")
     n = len(vals)
-    rows = []
-    for i, v in enumerate(vals):
-        row = [0] * n + [_scaled_mantissa(v, prec)]
-        row[i] = 1
-        rows.append(row)
-    limit = n << COEFF_NORM_BITS
+    exact = [v.to_fraction() for v in vals]
     bound = Fraction(1, 1 << (prec // 2))
-    for row in lll_reduce(rows):
-        u = row[:n]
-        if u[0] == 0 or _dot(u, u) >= limit:
-            continue
-        resid = Fraction(0)
-        for c, v in zip(u, vals):
-            resid += c * v.to_fraction()
-        if abs(resid) < bound:
-            return list(u)
-    return None
+    if abs(exact[0]) < bound:
+        return [1] + [0] * (n - 1)
+    live = [j for j in range(n) if abs(exact[j]) >= bound]
+    if len(live) < 2:
+        return None
+    with mpmath.workprec(prec):
+        found = mpmath.pslq(
+            [mpmath.mpf((vals[j].mantissa, -vals[j].bit_precision))
+             for j in live],
+            tol=mpmath.mpf((1, -(prec // 2))),
+            maxcoeff=1 << ((COEFF_NORM_BITS + 1) // 2),
+            maxsteps=PSLQ_MAX_STEPS)
+    if found is None:
+        return None
+    u = [0] * n
+    for j, c in zip(live, found):
+        u[j] = c
+    if u[0] == 0 or sum(c * c for c in u) >= n << COEFF_NORM_BITS \
+            or abs(sum(c * x for c, x in zip(u, exact))) >= bound:
+        return None
+    return u
 
 
 # ----------------------------------------------------------------------

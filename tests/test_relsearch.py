@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -82,84 +81,6 @@ def test_motive_denominator_clears_fractions():
 
 
 # ----------------------------------------------------------------------
-#  LLL
-# ----------------------------------------------------------------------
-
-def test_lll_leaves_reduced_bases_alone():
-    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert rs.lll_reduce(eye) == eye
-    diag = [[1, 0, 0], [0, 1, 0], [0, 0, 10 ** 20]]
-    assert rs.lll_reduce(diag) == diag
-
-
-def test_lll_first_vector_is_shortest_in_2d():
-    reduced = rs.lll_reduce([[201, 37], [1648, 297]])
-    got = reduced[0][0] ** 2 + reduced[0][1] ** 2
-    best = min((a * 201 + b * 1648) ** 2 + (a * 37 + b * 297) ** 2
-               for a in range(-50, 51) for b in range(-50, 51)
-               if (a, b) != (0, 0))
-    assert got == best
-
-
-def _det(rows):
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
-def test_lll_is_a_unimodular_transform():
-    rng = random.Random(7)
-    for _ in range(20):
-        basis = [[rng.randrange(-99, 100) for _ in range(3)] for _ in range(3)]
-        if _det(basis) == 0:
-            continue
-        reduced = rs.lll_reduce(basis)
-        assert abs(_det(reduced)) == abs(_det(basis))
-
-
-def test_lll_output_is_size_reduced_and_lovasz():
-    rng = random.Random(11)
-    delta = Fraction(99, 100)
-    for _ in range(10):
-        basis = [[rng.randrange(-500, 501) for _ in range(4)]
-                 for _ in range(4)]
-        if _det(basis) == 0:
-            continue
-        reduced = rs.lll_reduce(basis)
-        mu, norms = rs._gram(reduced)
-        for i in range(4):
-            for j in range(i):
-                assert abs(mu[i][j]) <= Fraction(1, 2)
-        for k in range(1, 4):
-            assert norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]
-
-
-def test_lll_flags_rank_deficiency(caplog):
-    import logging
-    with caplog.at_level(logging.WARNING, logger="logseries.relsearch"):
-        out = rs.lll_reduce([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert len(out) == 3
-    assert any("rank" in r.message for r in caplog.records)
-
-
-def test_lll_rejects_ragged_input():
-    with pytest.raises(ValueError):
-        rs.lll_reduce([[1, 2], [1]])
-
-
-# ----------------------------------------------------------------------
 #  lindep
 # ----------------------------------------------------------------------
 
@@ -196,6 +117,15 @@ def test_lindep_refuses_thin_precision():
         rs.lindep([one, half], 64)
     with pytest.raises(ValueError):
         rs.lindep([one], 8)
+
+
+def test_lindep_exact_zero_inputs():
+    zero = FixedReal.from_rational(Fraction(0), 256)
+    third = FixedReal.from_rational(Fraction(1, 3), 256)
+    assert rs.lindep([zero, third], 64) == [1, 0]
+    assert rs.lindep([third, zero], 64) is None
+    sixth = FixedReal.from_rational(Fraction(1, 6), 256)
+    assert rs.lindep([third, zero, sixth], 64) in ([1, 0, -2], [-1, 0, 2])
 
 
 def test_lindep_returns_none_without_a_relation():
@@ -253,6 +183,29 @@ def test_candidate_series_matches_the_catalog(log3_search, log2_search):
     got = binsplit.cross_verify(log2_search[0].series,
                                 catalog_get("log2-eq8"), 60)
     assert got >= 60
+
+
+# label: (primes, exponent ranges, rate, (beta, alpha_0, ..., alpha_3))
+DEGREE4_BOXES = {
+    "log2-eq9": ((2, 3, 5), ((-4, 0), (-3, 0), (-5, 0)), Fraction(1, 1350000),
+                 (2, -295245, 4353342, -15397068, 13885704)),
+    "log2-eq11": ((2, 3, 5), ((-4, 0), (-2, 0), (-5, 0)), Fraction(1, 450000),
+                  (4, -81891, 1209726, -4300512, 3927264)),
+    "log2-eq13": ((2, 3), ((-13, 0), (-3, 0)), Fraction(1, 221184),
+                  (3, -13858, 223397, -742257, 686430)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DEGREE4_BOXES))
+def test_search_rediscovers_a_degree4_series(label):
+    from logseries import binsplit
+    primes, bounds, rho, coefficients = DEGREE4_BOXES[label]
+    spec = catalog_get(label)
+    strategy = rs.LatticeStrategy(primes=primes, exponent_bounds=bounds,
+                                  cost_bound=2.0)
+    found = rs.search(spec.motive, _log_fixed(2, 400, 1300), 1, strategy)
+    assert [(c.rho, c.coefficients) for c in found] == [(rho, coefficients)]
+    assert binsplit.cross_verify(found[0].series, spec, 60) >= 60
 
 
 def test_search_with_unreachable_rho_bound_is_empty():
