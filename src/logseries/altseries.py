@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import mpmath
 
@@ -258,11 +258,10 @@ def abc_from_solution(p, r, phi, rho):
             FixedReal.from_rational(_mpf_to_fraction(second - first), bits), 64)
     if a_over_c is None or b_over_c is None:
         raise ValueError(f"p={p}: series coefficients are not rational")
-    c = a_over_c.denominator * b_over_c.denominator \
-        // gcd(a_over_c.denominator, b_over_c.denominator)
+    c = lcm(a_over_c.denominator, b_over_c.denominator)
     a = int(a_over_c * c)
     b = int(b_over_c * c)
-    shared = gcd(a, gcd(b, c))
+    shared = gcd(a, b, c)
     return a // shared, b // shared, c // shared
 
 
@@ -304,7 +303,7 @@ class AlternatingSolution:
             raise ValueError("alternating rate must be negative")
         if self.m >= 0 or _squarefree_part(-self.m) != -self.m:
             raise ValueError("field identifier must be negative and squarefree")
-        if gcd(self.a, gcd(self.b, self.c)) != 1:
+        if gcd(self.a, self.b, self.c) != 1:
             raise ValueError("(a, b, c) must be coprime as a triple")
         bits = min(self.r.bit_precision, self.phi.bit_precision)
         with mpmath.workprec(bits + 32):

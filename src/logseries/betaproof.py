@@ -14,8 +14,9 @@ constants out of atanh and log terms.
 from __future__ import annotations
 
 import dataclasses
+from decimal import Decimal
 from fractions import Fraction
-from math import gcd, prod
+from math import lcm, prod
 
 import mpmath
 
@@ -304,9 +305,7 @@ def build_integrand(params):
         denominator, _ = denominator.divmod(common)
     v_poly, v_scale = denominator.primitive()
     u_poly = numerator * (1 / v_scale)
-    stretch = 1
-    for c in u_poly.coefficients:
-        stretch = stretch * c.denominator // gcd(stretch, c.denominator)
+    stretch = lcm(*(c.denominator for c in u_poly.coefficients))
     if stretch != 1:
         u_poly = u_poly * stretch
         v_poly = v_poly * stretch
@@ -319,13 +318,12 @@ class IntegralReport:
     digits: int
     passed: bool
     difference: str
-    quadrature_error: str
 
 
 def _reference_log(p, digits):
     """log p digit string from the cheapest catalog series for p."""
     spec = seriesdef.catalog_get(seriesdef.cheapest_label(p))
-    return Fraction(binsplit.evaluate(spec, digits).decimal_digits)
+    return Fraction(Decimal(binsplit.evaluate(spec, digits).decimal_digits))
 
 
 def integral_value(pair, digits):
@@ -366,7 +364,6 @@ def integral_check(pair, expected_log_p, digits):
             digits=digits,
             passed=bool(passed),
             difference=mpmath.nstr(difference, 3),
-            quadrature_error="converged",
         )
 
 

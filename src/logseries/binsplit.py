@@ -84,21 +84,15 @@ class DigitsResult:
 #  Spec compilation: clear every denominator once
 # ----------------------------------------------------------------------
 
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
-
-
 class _Compiled:
     __slots__ = ("num_coeffs", "den_coeffs", "normalizer", "x_const",
                  "y_const", "top", "bot", "start", "coeff_digits")
 
     def __init__(self, spec: SeriesSpec):
-        l_num = 1
-        for c in spec.numerator_poly.coefficients:
-            l_num = _lcm(l_num, c.denominator)
-        l_den = 1
-        for c in spec.denominator_poly.coefficients:
-            l_den = _lcm(l_den, c.denominator)
+        l_num = math.lcm(*(c.denominator
+                           for c in spec.numerator_poly.coefficients))
+        l_den = math.lcm(*(c.denominator
+                           for c in spec.denominator_poly.coefficients))
         self.num_coeffs = tuple(int(c * l_num)
                                 for c in spec.numerator_poly.coefficients)
         self.den_coeffs = tuple(int(c * l_den)

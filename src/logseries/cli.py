@@ -8,6 +8,7 @@ usage errors.
 
 import argparse
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -117,17 +118,16 @@ def _cmd_cost(args):
 
 def _cmd_search(args):
     motive = seriesdef.catalog_get(args.series).motive
+    # the target has weight 1, so the search detects with d sums
+    working, _, need = relsearch.working_precision(motive.d - 1,
+                                                   args.digits or 0)
     strategy = relsearch.LatticeStrategy(
         primes=args.primes,
         exponent_bounds=args.exponents,
-        working_digits=args.digits or 0,
+        working_digits=working,
     )
-    depth_margin = motive.d - 1 + 2
-    working = strategy.working_digits or 20 * depth_margin
-    bits = max(int(working * relsearch.LOG2_10) + 32, depth_margin * 64 + 64)
-    need = 2 * bits + 16
     digits_text = machin.log_decimal(args.p, need // 3 + 8)
-    target = FixedReal.from_rational(Fraction(digits_text), need + 32)
+    target = FixedReal.from_rational(Fraction(Decimal(digits_text)), need + 32)
 
     candidates = relsearch.search(motive, target, 1, strategy)
     if not candidates:
@@ -137,9 +137,10 @@ def _cmd_search(args):
     args_text = (f"p={args.p} primes={','.join(map(str, args.primes))} "
                  f"exponents={ranges} digits={working}")
     const_text = f"log({args.p}) = {digits_text[:40]}..."
-    text = relsearch.format_report(candidates, args_text, const_text)
     if args.out:
-        relsearch.write_report(candidates, args.out, args_text, const_text)
+        text = relsearch.write_report(candidates, args.out, args_text, const_text)
+    else:
+        text = relsearch.format_report(candidates, args_text, const_text)
     print(text.rstrip("\n"))
     return 0
 
@@ -163,7 +164,7 @@ def _cmd_wz_verify(args):
         report = wzcert.certificate_telescoping_check(cert, args.grid, args.grid)
         value = wzcert.gst_series_sum(cert, n_terms, bits)
         p = int(label[len("log"):].partition("-")[0])
-        want = Fraction(machin.log_decimal(p, digits + 12))
+        want = Fraction(Decimal(machin.log_decimal(p, digits + 12)))
         close = abs(value.log_value.to_fraction() - want) < Fraction(1, 10 ** digits)
         ok = report.passed and close
         failed = failed or not ok
@@ -193,7 +194,7 @@ def _cmd_prove(args):
 
     bits = int(args.digits * relsearch.LOG2_10) + 48
     value = betaproof.log_from_closed_forms(args.p, bits)
-    want = Fraction(machin.log_decimal(args.p, args.digits + 12))
+    want = Fraction(Decimal(machin.log_decimal(args.p, args.digits + 12)))
     with mpmath.workprec(bits + 16):
         reference = mpmath.mpf(want.numerator) / want.denominator
         difference = abs(value - reference)

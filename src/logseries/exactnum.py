@@ -1,22 +1,16 @@
 """Exact arithmetic substrate.
 
-Arbitrary precision rationals, Gaussian rationals, fixed-point reals and
-dense univariate polynomials with rational coefficients. Everything is
-immutable; FixedReal is the only inexact type and it truncates toward
-zero with at most 1 ulp error per operation, so precision-sensitive
-callers must bring their own guard bits.
+Gaussian rationals, dense univariate polynomials with rational
+coefficients, and FixedReal, a real rounded once to a fixed number of
+bits that carries numeric results into the exact layers. Everything is
+immutable.
 """
 
 from __future__ import annotations
 
-import sys
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-
-# CPython 3.11+ limits int -> str conversion size by default; we routinely
-# format numbers with millions of digits, so lift the limit once on import.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
 
 # ----------------------------------------------------------------------
 #  Gaussian rationals
@@ -132,119 +126,30 @@ class GaussianRational:
 #  Fixed-point reals
 # ----------------------------------------------------------------------
 
-def _trunc_div(a, b):
-    # Python's // floors; we want truncation toward zero.
-    q = a // b
-    if q < 0 and q * b != a:
-        q += 1
-    return q
-
-
+@dataclass(frozen=True)
 class FixedReal:
-    """Scaled-integer real: value = mantissa * 2**(-bit_precision).
+    """A rounded real: value = mantissa * 2**(-bit_precision).
 
-    Arithmetic truncates toward zero, so each operation is within 1 ulp.
-    Mixed-precision operands are aligned to the higher precision (the
-    coarser mantissa is shifted up exactly, losing nothing).
+    It only carries a value between the numeric and the exact layers;
+    callers compute on to_fraction() or in mpmath.
     """
 
-    __slots__ = ("mantissa", "bit_precision")
+    mantissa: int
+    bit_precision: int
 
-    def __init__(self, mantissa, bit_precision):
-        if bit_precision < 8:
+    def __post_init__(self):
+        if self.bit_precision < 8:
             raise ValueError("bit_precision must be at least 8")
-        object.__setattr__(self, "mantissa", int(mantissa))
-        object.__setattr__(self, "bit_precision", int(bit_precision))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FixedReal is immutable")
 
     @classmethod
     def from_rational(cls, x, bits):
+        """x truncated toward zero to `bits` fractional bits."""
         x = Fraction(x)
-        m = _trunc_div(x.numerator << bits, x.denominator)
-        return cls(m, bits)
-
-    @classmethod
-    def from_int(cls, n, bits):
-        return cls(n << bits, bits)
+        m = abs(x.numerator << bits) // x.denominator
+        return cls(-m if x < 0 else m, bits)
 
     def to_fraction(self):
         return Fraction(self.mantissa, 1 << self.bit_precision)
-
-    def _aligned(self, other):
-        if not isinstance(other, FixedReal):
-            raise TypeError("expected FixedReal")
-        bits = max(self.bit_precision, other.bit_precision)
-        a = self.mantissa << (bits - self.bit_precision)
-        b = other.mantissa << (bits - other.bit_precision)
-        return a, b, bits
-
-    def __add__(self, other):
-        a, b, bits = self._aligned(other)
-        return FixedReal(a + b, bits)
-
-    def __sub__(self, other):
-        a, b, bits = self._aligned(other)
-        return FixedReal(a - b, bits)
-
-    def __neg__(self):
-        return FixedReal(-self.mantissa, self.bit_precision)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return FixedReal(self.mantissa * other, self.bit_precision)
-        a, b, bits = self._aligned(other)
-        return FixedReal(_trunc_div(a * b, 1 << bits), bits)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            return FixedReal(_trunc_div(self.mantissa, other), self.bit_precision)
-        a, b, bits = self._aligned(other)
-        if b == 0:
-            raise ZeroDivisionError("FixedReal division by zero")
-        return FixedReal(_trunc_div(a << bits, b), bits)
-
-    def mul_rational(self, q):
-        q = Fraction(q)
-        m = _trunc_div(self.mantissa * q.numerator, q.denominator)
-        return FixedReal(m, self.bit_precision)
-
-    def __abs__(self):
-        return FixedReal(abs(self.mantissa), self.bit_precision)
-
-    def sign(self):
-        return (self.mantissa > 0) - (self.mantissa < 0)
-
-    def _cmp(self, other):
-        a, b, _ = self._aligned(other)
-        return (a > b) - (a < b)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __eq__(self, other):
-        if not isinstance(other, FixedReal):
-            return NotImplemented
-        return self._cmp(other) == 0
-
-    def __hash__(self):
-        return hash(self.to_fraction())
-
-    def abs_within_ulps(self, k):
-        """Honest zero test: |value| <= k ulp at this precision."""
-        return abs(self.mantissa) <= k
 
     def to_decimal(self, digits):
         """Decimal string truncated to `digits` places after the point."""
@@ -258,9 +163,6 @@ class FixedReal:
 
     def __float__(self):
         return self.mantissa / (1 << self.bit_precision)
-
-    def __repr__(self):
-        return f"FixedReal({self.to_decimal(12)}..., bits={self.bit_precision})"
 
 
 # ----------------------------------------------------------------------
@@ -304,12 +206,6 @@ class IntPoly:
         acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * x + c
-        return acc
-
-    def eval_gaussian(self, z):
-        acc = GaussianRational(0)
-        for c in reversed(self.coefficients):
-            acc = acc * z + c
         return acc
 
     def __eq__(self, other):
@@ -372,12 +268,8 @@ class IntPoly:
         """gcd of numerators over lcm of denominators (positive)."""
         if self.is_zero():
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coefficients:
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(math.gcd(*(c.numerator for c in self.coefficients)),
+                        math.lcm(*(c.denominator for c in self.coefficients)))
 
     def primitive(self):
         """Integer-coefficient multiple with content 1 and positive leading

@@ -12,6 +12,7 @@ is exactly what makes it a useful referee.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -110,7 +111,7 @@ def log_decimal(x, digits):
             scaled = lo // cell
             break
         guard *= 2
-    ip, frac = divmod(scaled, 10 ** digits)
-    if digits == 0:
-        return str(ip)
-    return f"{ip}.{frac:0{digits}d}"
+    # str(int) refuses long values under the interpreter's default
+    # conversion limit; Decimal converts an int of any length
+    text = str(Decimal(scaled)).rjust(digits + 1, "0")
+    return f"{text[:-digits]}.{text[-digits:]}" if digits else text

@@ -47,15 +47,14 @@ PSLQ_MAX_STEPS = 2000
 class LatticeStrategy:
     """Which rates to try and when to give up on one.
 
-    cost_bound and term_bound of 0 disable those filters; rho_bound is
-    always applied (a rate at or above it cannot converge usefully).
+    cost_bound of 0 disables that filter; rho_bound is always applied
+    (a rate at or above it cannot converge usefully).
     working_digits of 0 defers to the 20*(h+2) weight-rule floor.
     """
 
     primes: Tuple[int, ...]
     exponent_bounds: Tuple[Tuple[int, int], ...]
     cost_bound: float = 0.0
-    term_bound: int = 0
     rho_bound: Fraction = Fraction(3, 5)
     working_digits: int = 0
 
@@ -74,7 +73,7 @@ class LatticeStrategy:
             raise ValueError("exponent ranges must satisfy min <= max")
         if not 0 < self.rho_bound < 1:
             raise ValueError("rho_bound must sit in (0, 1)")
-        if self.cost_bound < 0 or self.term_bound < 0 or self.working_digits < 0:
+        if self.cost_bound < 0 or self.working_digits < 0:
             raise ValueError("bounds cannot be negative")
 
 
@@ -230,10 +229,7 @@ def _admissible_points(strategy: LatticeStrategy, d: int, wd: int):
         cost = 4 * d / lr
         if strategy.cost_bound > 0 and cost > strategy.cost_bound:
             continue
-        n_terms = math.ceil(2.5 * wd * math.log(10) / lr)
-        if strategy.term_bound > 0 and n_terms > strategy.term_bound:
-            continue
-        yield rho, cost, n_terms
+        yield rho, cost, math.ceil(2.5 * wd * math.log(10) / lr)
 
 
 def _examine_point(motive, r_poly, target, h, rho, n_terms, bits, cost):
@@ -282,6 +278,24 @@ def _examine_point(motive, r_poly, target, h, rho, n_terms, bits, cost):
     )
 
 
+def working_precision(h: int, working_digits: int) -> Tuple[int, int, int]:
+    """(digits, bits, target_bits) of a search that detects with h + 1 sums.
+
+    digits is working_digits raised to the 20*(h+2) floor (0 asks for
+    the floor), with a warning when a requested value is raised; bits is
+    the detection precision, and the target must carry target_bits for
+    the confirmation against its finer slice.
+    """
+    floor_digits = 20 * (h + 2)
+    digits = working_digits or floor_digits
+    if digits < floor_digits:
+        log.warning("working digits %d below the 20*(h+2) floor; using %d",
+                    digits, floor_digits)
+        digits = floor_digits
+    bits = max(int(digits * LOG2_10) + 32, (h + 2) * 64 + 64)
+    return digits, bits, 2 * bits + 16
+
+
 def search(motive: Motive, target: FixedReal, target_weight: int,
            strategy: LatticeStrategy) -> List[RelationCandidate]:
     """All verified integer relations the strategy's lattice reaches.
@@ -299,16 +313,10 @@ def search(motive: Motive, target: FixedReal, target_weight: int,
     h = d - int(target_weight)
     if h < 0:
         raise ValueError("target weight exceeds the motive depth")
-    floor_digits = 20 * (h + 2)
-    wd = strategy.working_digits or floor_digits
-    if wd < floor_digits:
-        log.warning("working digits %d below the 20*(h+2) floor; using %d",
-                    wd, floor_digits)
-        wd = floor_digits
-    bits = max(int(wd * LOG2_10) + 32, (h + 2) * 64 + 64)
-    if target.bit_precision < 2 * bits + 16:
+    wd, bits, target_bits = working_precision(h, strategy.working_digits)
+    if target.bit_precision < target_bits:
         log.warning("target carries %d bits but confirmation needs %d; "
-                    "skipping the search", target.bit_precision, 2 * bits + 16)
+                    "skipping the search", target.bit_precision, target_bits)
         return []
     r_poly = motive_denominator(motive)
     found = []

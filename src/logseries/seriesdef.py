@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Tuple, Union
 
 import mpmath
@@ -153,7 +152,7 @@ def binary_splitting_cost(spec: SeriesSpec, bits: int = 96) -> FixedReal:
     if abs(rho) >= 1:
         raise ValueError(f"{spec.label}: |rho| >= 1, series diverges")
     if rho == 0:
-        return FixedReal.from_int(0, bits)
+        return FixedReal(0, bits)
     with mpmath.workprec(bits + 32):
         log_rho = mpmath.log(mpmath.mpf(abs(rho).numerator)) \
             - mpmath.log(mpmath.mpf(abs(rho).denominator))
@@ -312,7 +311,7 @@ def d2_convert(alpha: int, beta: int, gamma: int, rho) -> Tuple[int, int, int]:
     u = (18 * rho.numerator * alpha,
          18 * rho.numerator * (alpha + beta),
          den * gamma)
-    g = gcd(gcd(abs(u[0]), abs(u[1])), abs(u[2]))
+    g = math.gcd(*u)
     return (u[0] // g, u[1] // g, u[2] // g)
 
 
@@ -326,7 +325,7 @@ def d2_convert_inverse(a: int, b: int, c: int, rho) -> Tuple[int, int, int]:
     v = (sign * den * a,
          sign * den * (b - a),
          sign * 18 * c * rho.numerator)
-    g = gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
+    g = math.gcd(*v)
     return (v[0] // g, v[1] // g, v[2] // g)
 
 
@@ -372,9 +371,9 @@ def d2_integer_form(spec: SeriesSpec) -> Tuple[int, int, int]:
     if len(coeffs) != 2:
         raise ValueError("need a linear numerator")
     b_, a_ = coeffs
-    c_ = a_.denominator * b_.denominator // gcd(a_.denominator, b_.denominator)
+    c_ = math.lcm(a_.denominator, b_.denominator)
     a_i, b_i = int(a_ * c_), int(b_ * c_)
-    g = gcd(gcd(abs(a_i), abs(b_i)), c_)
+    g = math.gcd(a_i, b_i, c_)
     return (a_i // g, b_i // g, c_ // g)
 
 

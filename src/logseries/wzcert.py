@@ -179,7 +179,9 @@ class CertificateSum:
         """The log p approximation: the real part, doubled when the
         parameter is one of a conjugate pair (the two logs add up to the
         log of the common norm)."""
-        return self.real * 2 if self.conjugate_pair else self.real
+        if self.conjugate_pair:
+            return FixedReal(self.real.mantissa * 2, self.real.bit_precision)
+        return self.real
 
 
 def gst_series_sum(cert, n_terms, bits):

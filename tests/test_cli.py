@@ -170,6 +170,16 @@ def test_search_empty_box(capsys):
     assert "no integer relations found" in out
 
 
+def test_search_reports_the_digits_it_ran_at(capsys, caplog):
+    # 50 digits sit below the 20*(h+2) = 60 digit floor of a d = 2 motive
+    code, out, _ = invoke(capsys, ["search", "--p", "3", "--primes", "3",
+                                   "--exponents=-6:0", "--digits", "50"])
+    assert code == 0
+    assert "digits=60" in out
+    floor_warnings = [r for r in caplog.records if "floor" in r.getMessage()]
+    assert len(floor_warnings) == 1
+
+
 def test_search_report_file_appends(capsys, tmp_path):
     path = tmp_path / "results.txt"
     argv = ["search", "--p", "3", "--primes", "3", "--exponents=-6:0",
@@ -329,6 +339,25 @@ def test_family_at_p_one_is_exact_zero():
             capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
         assert digits_from_rows(proc.stdout) == machin.log_decimal(1, 5)
+
+
+def test_import_changes_no_global_state():
+    # the oracle must still print more digits than the interpreter's
+    # default int -> str conversion limit allows
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(logseries.__file__).resolve().parents[1]))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    script = (
+        "import sys\n"
+        "limit = sys.get_int_max_str_digits()\n"
+        "import logseries.cli\n"
+        "from logseries import machin\n"
+        "assert sys.get_int_max_str_digits() == limit > 0\n"
+        "text = machin.log_decimal(2, 5000)\n"
+        "assert len(text) == 5002 and text.startswith('0.6931471805')\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_python_dash_m_runs_the_cli():

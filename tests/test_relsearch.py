@@ -34,7 +34,7 @@ def test_sums_stabilize_once_the_tail_is_spent():
     r_poly = rs.motive_denominator(motive)
     a = rs.partial_sum_si(motive, r_poly, 1, 60, 400)
     b = rs.partial_sum_si(motive, r_poly, 1, 70, 400)
-    assert abs((a - b).to_fraction()) < Fraction(1, 10 ** 60)
+    assert abs(a.to_fraction() - b.to_fraction()) < Fraction(1, 10 ** 60)
 
 
 def test_weighted_sums_rebuild_log3():
