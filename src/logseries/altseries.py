@@ -355,6 +355,17 @@ def convergence_limit(bits=256):
                 FixedReal.from_rational(_mpf_to_fraction(p_limit), bits))
 
 
+class UndecidedScan(Exception):
+    """A scan that could not decide every p. `hits` holds the verified
+    series it found, `undecided` a (p, reason) pair per failed point."""
+
+    def __init__(self, hits, undecided):
+        super().__init__(
+            "undecided " + ", ".join(f"p={p}" for p, _ in undecided))
+        self.hits = hits
+        self.undecided = undecided
+
+
 def _examine(p, bits):
     """One scan step: None when p is not sporadic, a verified solution
     when it is."""
@@ -379,23 +390,28 @@ def scan_range(p_lo, p_hi, bits=512):
 
     Each candidate rate must survive rational detection at full solver
     precision, yield rational series coefficients, and reproduce log p
-    to 50 digits against the independent oracle; per-p failures are
-    logged and the scan moves on. Below MIN_BITS every p would fail that
-    way, so such a precision is rejected up front.
+    to 50 digits against the independent oracle. A p that fails on the
+    way is logged and the scan moves on; once it is done, UndecidedScan
+    carries the hits and every such p, so no failure passes for "no
+    series". Below MIN_BITS every p would fail that way, so such a
+    precision is rejected up front.
     """
     if not 2 <= p_lo <= p_hi <= SCAN_LIMIT:
         raise ValueError(f"scan range must sit inside [2, {SCAN_LIMIT}]")
     if bits < MIN_BITS:
         raise ValueError(f"need at least {MIN_BITS} bits, got {bits}")
-    hits = []
+    hits, undecided = [], []
     for p in range(p_lo, p_hi + 1):
         try:
             solution = _examine(p, bits)
         except (RuntimeError, ValueError) as exc:
             log.warning("p=%d: %s", p, exc)
+            undecided.append((p, str(exc).removeprefix(f"p={p}: ")))
             continue
         if solution is None:
             log.debug("p=%d: rate is not rational", p)
             continue
         hits.append(solution)
+    if undecided:
+        raise UndecidedScan(hits, undecided)
     return hits

@@ -1,15 +1,21 @@
 """Binary splitting evaluation of a SeriesSpec to decimal digits.
 
-The series is compiled once into integer-only per-term factors (motive
-parameter denominators, rho's fraction, and polynomial coefficient
-denominators are all cleared up front), then term ranges are folded
-into 4-integer nodes that merge exactly. The partial sum over a range
-is T/(B*Q) times the compiled normalizer n/d. `evaluate` builds leaves
-of up to INT_LEAF_TERMS terms in int and does every merge above them,
-and the floor of |n*T|*10^k / |d*B*Q|, as exact integer arithmetic in
-libmpdec (`decimal`), whose number-theoretic-transform multiply and
-Newton division outrun int's at these sizes. No step rounds: the
-decimal context traps any inexact result.
+The series is compiled once into integer-only per-term factors: motive
+parameter denominators, rho's fraction and the numerator polynomial's
+coefficient denominators are cleared up front. Every admissible series
+divides term n by a constant times the linear factors of x(n) (start 1)
+or of y(n+1) (start 0), the cleared numerator and denominator of the
+motive's term ratio (see seriesdef). That division cancels the last
+factor of the P or Q product, and the constant moves into one compiled
+rational `scale`. A term range then folds into a 3-integer node
+(P, Q, T) whose merge costs four products, and the partial sum over the
+range is scale * T/Q (Haible & Papanikolaou's P, Q, T recurrence).
+`evaluate` builds leaves of up to INT_LEAF_TERMS terms in int and does
+every merge above them, and the floor of |n*T|*10^k / |d*Q| with n/d
+the scale, as exact integer arithmetic in libmpdec (`decimal`), whose
+number-theoretic-transform multiply and Newton division outrun int's
+at these sizes. No step rounds: the decimal context traps any inexact
+result.
 """
 
 from __future__ import annotations
@@ -24,10 +30,12 @@ from .seriesdef import CATALOG_TARGETS, SeriesSpec, estimate_terms
 
 LEAF_TERMS = 8
 # Terms per leaf built in int under evaluate's decimal upper tree. int
-# multiplies small operands faster than libmpdec, and converting a leaf
-# to Decimal takes time quadratic in its length, so leaves stay short;
-# 128 to 512 terms time alike at 10^5 digits.
+# multiplies small operands faster than libmpdec; 128 to 1024 terms time
+# alike at 10^5 digits.
 INT_LEAF_TERMS = 512
+# Decimal(int) takes time quadratic in the length of the int; above this
+# many bits _to_decimal halves it at a power of two instead.
+CONVERT_BITS = 2048
 
 # Integer arithmetic in libmpdec as exact as int's: precision and
 # exponent range as large as the platform allows, and every rounding
@@ -47,29 +55,29 @@ class SplitNode:
     """Exact accumulator for a contiguous term range [lo, hi).
 
     The fields are ints, or integer-valued Decimals in the upper tree
-    that evaluate builds.
+    that evaluate builds. With s = 1 - start_index:
 
-    P: product of cleared motive-ratio numerators x(k)
-    Q: product of cleared motive-ratio denominators y(k)
-    B: product of per-term polynomial denominators
-    T: weighted sum such that sum over the range = T / (B * Q)
+    P: product of cleared motive-ratio numerators x(k + s)
+    Q: product of cleared motive-ratio denominators y(k + s)
+    T: weighted sum such that sum over the range = scale * T / Q
     """
 
     P: int
     Q: int
-    B: int
     T: int
 
     def merge(self, right: "SplitNode") -> "SplitNode":
-        return SplitNode(
-            self.P * right.P,
-            self.Q * right.Q,
-            self.B * right.B,
-            self.T * right.B * right.Q + self.B * self.P * right.T,
-        )
+        return SplitNode(self.P * right.P, self.Q * right.Q,
+                         self.T * right.Q + self.P * right.T)
 
     def value(self) -> Fraction:
-        return Fraction(self.T, self.B * self.Q)
+        return Fraction(self.T, self.Q)
+
+    @property
+    def B(self) -> int:
+        # Only the benchmark's split-tree probe reads this, from the time
+        # nodes carried a denominator product; ROADMAP item 5 deletes it.
+        return 1
 
 
 @dataclass(frozen=True)
@@ -85,38 +93,35 @@ class DigitsResult:
 # ----------------------------------------------------------------------
 
 class _Compiled:
-    __slots__ = ("num_coeffs", "den_coeffs", "normalizer", "x_const",
-                 "y_const", "top", "bot", "start", "coeff_digits")
+    __slots__ = ("num_coeffs", "scale", "x_const", "y_const", "top", "bot",
+                 "shift", "coeff_digits")
 
     def __init__(self, spec: SeriesSpec):
         l_num = math.lcm(*(c.denominator
                            for c in spec.numerator_poly.coefficients))
-        l_den = math.lcm(*(c.denominator
-                           for c in spec.denominator_poly.coefficients))
         self.num_coeffs = tuple(int(c * l_num)
                                 for c in spec.numerator_poly.coefficients)
-        self.den_coeffs = tuple(int(c * l_den)
-                                for c in spec.denominator_poly.coefficients)
-        self.normalizer = spec.normalizer * l_den / l_num
 
         rho = spec.motive.rho
-        b_num = b_den = 1
         self.top = tuple((r.denominator, r.numerator - r.denominator)
                          for r in spec.motive.num_params)
         self.bot = tuple((q.denominator, q.numerator - q.denominator)
                          for q in spec.motive.den_params)
-        for r in spec.motive.num_params:
-            b_num *= r.denominator
-        for q in spec.motive.den_params:
-            b_den *= q.denominator
-        self.x_const = rho.numerator * b_den
-        self.y_const = rho.denominator * b_num
-        self.start = spec.start_index
+        self.x_const = rho.numerator * math.prod(
+            q.denominator for q in spec.motive.den_params)
+        self.y_const = rho.denominator * math.prod(
+            r.denominator for r in spec.motive.num_params)
+        self.shift = 1 - spec.start_index
+        # r(n) is lambda * x(n)/x_const (start 1) or lambda * y(n+1)/y_const
+        # (start 0): its division cancels the last factor of P or Q
+        folded = self.x_const if spec.start_index == 1 else self.y_const
+        self.scale = (spec.normalizer * folded
+                      / (spec.denominator_scale * l_num))
 
         # decimal headroom the numerator polynomial and normalizer can add
         # on top of the plain |rho|^n tail estimate
         mag = max(1, max(abs(c) for c in self.num_coeffs))
-        mag *= max(1, abs(self.normalizer.numerator))
+        mag *= max(1, abs((spec.normalizer / l_num).numerator))
         self.coeff_digits = len(str(mag))
 
     def _poly(self, coeffs, n):
@@ -125,28 +130,15 @@ class _Compiled:
             acc = acc * n + c
         return acc
 
-    def x(self, k):
-        # k = 0 only occurs as the first index of a start-0 series, where
-        # the hypergeometric factor is the empty product
-        if k == 0:
-            return 1
-        out = self.x_const
-        for b, shift in self.top:
-            out *= b * k + shift
-        return out
-
-    def y(self, k):
-        if k == 0:
-            return 1
-        out = self.y_const
-        for b, shift in self.bot:
-            out *= b * k + shift
-        return out
-
     def unit(self, n):
-        xn = self.x(n)
-        return SplitNode(xn, self.y(n), self._poly(self.den_coeffs, n),
-                         self._poly(self.num_coeffs, n) * xn)
+        # (x(k), y(k), a(n)) at k = n + shift
+        k = n + self.shift
+        x, y = self.x_const, self.y_const
+        for b, shift in self.top:
+            x *= b * k + shift
+        for b, shift in self.bot:
+            y *= b * k + shift
+        return SplitNode(x, y, self._poly(self.num_coeffs, n))
 
 
 @lru_cache(maxsize=64)
@@ -168,18 +160,43 @@ def _range_node(comp: _Compiled, lo: int, hi: int) -> SplitNode:
     return _range_node(comp, lo, mid).merge(_range_node(comp, mid, hi))
 
 
-def _decimal_node(comp: _Compiled, lo: int, hi: int) -> SplitNode:
-    """Node for [lo, hi) whose P, Q, B, T are integer-valued Decimals.
+@lru_cache(maxsize=64)
+def _pow2(k: int) -> decimal.Decimal:
+    return decimal.Decimal(2) ** k
+
+
+def _to_decimal(v: int) -> decimal.Decimal:
+    """Exact Decimal of an int, split in halves at a power of two so the
+    cost follows libmpdec's multiply. Runs in the current decimal
+    context, which must be _EXACT."""
+    bits = v.bit_length()
+    if bits <= CONVERT_BITS:
+        return decimal.Decimal(v)
+    k = CONVERT_BITS
+    while 2 * k < bits:
+        k *= 2
+    return _to_decimal(v >> k) * _pow2(k) + _to_decimal(v & ((1 << k) - 1))
+
+
+def _decimal_node(comp: _Compiled, lo: int, hi: int,
+                  keep_p: bool = True) -> SplitNode:
+    """Node for [lo, hi) whose P, Q, T are integer-valued Decimals.
 
     Leaves come from _range_node in int; every merge above them runs in
-    the current decimal context, which must be _EXACT.
+    the current decimal context, which must be _EXACT. With keep_p
+    false, P is left None and never computed: a merge uses only its
+    left child's P, so the root and the right spine below it need none.
     """
     if hi - lo <= INT_LEAF_TERMS:
         leaf = _range_node(comp, lo, hi)
-        return SplitNode(decimal.Decimal(leaf.P), decimal.Decimal(leaf.Q),
-                         decimal.Decimal(leaf.B), decimal.Decimal(leaf.T))
+        return SplitNode(_to_decimal(leaf.P) if keep_p else None,
+                         _to_decimal(leaf.Q), _to_decimal(leaf.T))
     mid = (lo + hi) // 2
-    return _decimal_node(comp, lo, mid).merge(_decimal_node(comp, mid, hi))
+    left = _decimal_node(comp, lo, mid)
+    right = _decimal_node(comp, mid, hi, keep_p)
+    if keep_p:
+        return left.merge(right)
+    return SplitNode(None, left.Q * right.Q, left.T * right.Q + left.P * right.T)
 
 
 def split_range(spec: SeriesSpec, lo: int, hi: int) -> SplitNode:
@@ -193,10 +210,11 @@ def node_sum(spec: SeriesSpec, node: SplitNode) -> Fraction:
     """Exact sum of the terms a split_range node of `spec` covers, as a
     reduced Fraction (the relation search needs it exact).
 
-    Compilation clears the polynomial coefficient denominators, so the
-    node's T/(B*Q) is off by that scale; the normalizer carries it back.
+    The node's T/Q leaves out the normalizer, the folded denominator's
+    constant and the cleared coefficient denominators; the compiled
+    scale carries them back.
     """
-    return _compiled(spec).normalizer * node.value()
+    return _compiled(spec).scale * node.value()
 
 
 def _target_of(spec: SeriesSpec):
@@ -225,16 +243,16 @@ def evaluate(spec: SeriesSpec, digits: int) -> DigitsResult:
     if abs(spec.motive.rho) >= 1:
         raise ValueError(f"{spec.label}: series diverges")
     comp = _compiled(spec)
-    n, d = comp.normalizer.numerator, comp.normalizer.denominator
+    n, d = comp.scale.numerator, comp.scale.denominator
     lo = spec.start_index
     guard = 10
     with decimal.localcontext(_EXACT):
         while True:
             slack = guard + comp.coeff_digits + 10
             n_terms = estimate_terms(spec, digits + slack)
-            root = _decimal_node(comp, lo, lo + n_terms)
-            num, den = n * root.T, d * root.B * root.Q
-            del root  # the division is the memory peak; drop P, Q, B, T
+            root = _decimal_node(comp, lo, lo + n_terms, keep_p=False)
+            num, den = n * root.T, d * root.Q
+            del root  # the division is the memory peak; drop P, Q, T
             neg = num != 0 and (num < 0) != (den < 0)
             scaled = abs(num).scaleb(digits + guard) // abs(den)
             del num, den

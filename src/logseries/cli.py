@@ -222,15 +222,20 @@ def _alternating_table(hits):
 
 
 def _cmd_alternating(args):
-    if args.scan is not None:
-        lo, hi = args.scan
+    lo, hi = args.scan if args.scan is not None else (args.p, args.p)
+    try:
         hits = altseries.scan_range(lo, hi, bits=args.bits)
+    except altseries.UndecidedScan as exc:
+        lines = [_alternating_table(exc.hits)]
+        lines += [f"undecided p={p}: {reason}" for p, reason in exc.undecided]
+        _emit("\n".join(lines), args.out)
+        return 1
+    if args.scan is not None:
         lines = [_alternating_table(hits)]
         if not hits:
             lines.append("(no alternating series with a rational rate)")
         _emit("\n".join(lines), args.out)
         return 0
-    hits = altseries.scan_range(args.p, args.p, bits=args.bits)
     if not hits:
         print(f"p={args.p}: the solved rate is not rational; "
               f"no alternating series of this shape exists")

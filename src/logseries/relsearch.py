@@ -24,7 +24,7 @@ import mpmath
 
 from . import binsplit
 from .exactnum import FixedReal, IntPoly
-from .seriesdef import Motive, SeriesSpec
+from .seriesdef import Motive, SeriesSpec, denominator_basis
 
 log = logging.getLogger(__name__)
 
@@ -134,9 +134,7 @@ def motive_denominator(motive: Motive) -> IntPoly:
     """The integer-cleared product over the numerator parameters: for
     each fraction u/v a factor (v*n - v + u); this is the r(n) the
     partial sums divide by."""
-    return IntPoly.from_linear_factors(
-        [(f.denominator, f.numerator - f.denominator)
-         for f in motive.num_params])
+    return denominator_basis(motive, 1)
 
 
 # ----------------------------------------------------------------------

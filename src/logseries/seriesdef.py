@@ -5,7 +5,18 @@ A series here is
     omega = normalizer * sum_{n>=start} p(n)/r(n) * rho^n * M(n)
 
 with M(n) a ratio of rising-factorial products over the motive's
-parameter lists. The module holds the fixed catalog of fast log series,
+parameter lists. The denominator r(n) is a constant times one of two
+products of the motive's own linear factors, and SeriesSpec rejects
+any other:
+
+    start 1:  r(n) = lambda * prod (v*n + u - v) over num_params u/v,
+              the factors of M(n)/M(n-1);
+    start 0:  r(n) = lambda * prod (w*n + u) over den_params u/w,
+              the factors of M(n+1)/M(n).
+
+Either way 1/r(n) cancels against a factor of M(n) or M(n+1), which
+lets binary splitting carry the sum in three integers (see binsplit).
+The module holds the fixed catalog of fast log series,
 the parametric level-1/level-2 families (signature 6 and 4 denominators),
 the degree-4 and degree-6 variable-p families, and the conversions
 between the two printed d=2 parameter conventions.
@@ -99,6 +110,19 @@ class SeriesSpec:
         if roots:
             raise ValueError(
                 f"{self.label}: denominator vanishes at n={roots[0]}")
+        basis = denominator_basis(self.motive, self.start_index)
+        if self.denominator_poly != basis * self.denominator_scale:
+            factors = _basis_factors(self.motive, self.start_index)
+            raise ValueError(
+                f"{self.label}: a start-{self.start_index} denominator must "
+                f"be a constant times "
+                f"{' * '.join(_factor_text(*f) for f in factors)}")
+
+    @property
+    def denominator_scale(self) -> Fraction:
+        """The constant lambda in r(n) = lambda * denominator_basis(...)."""
+        return (self.denominator_poly.leading()
+                / denominator_basis(self.motive, self.start_index).leading())
 
     def term(self, n):
         """Exact value of term n including normalizer (slow; for testing)."""
@@ -140,6 +164,29 @@ class D2Params:
             zz = zz.re if isinstance(zz, GaussianRational) else Fraction(zz)
             if zz != z2:
                 raise ValueError(f"p={self.p}: stored z does not square to z^2")
+
+
+def _basis_factors(motive: Motive, start: int):
+    params = motive.num_params if start == 1 else motive.den_params
+    return [(f.denominator, f.numerator - f.denominator * start)
+            for f in params]
+
+
+def _factor_text(b, shift):
+    term = f"{b if b != 1 else ''}n"
+    return f"({term}{shift:+d})" if shift else term
+
+
+def denominator_basis(motive: Motive, start: int) -> IntPoly:
+    """The integer product of linear factors that a series of `motive`
+    starting at `start` divides by, up to a constant: over num_params
+    u/v the factors v*n + u - v (start 1), over den_params u/w the
+    factors w*n + u (start 0)."""
+    coeffs = [1]
+    for b, shift in _basis_factors(motive, start):
+        coeffs = [c * shift + lower * b
+                  for c, lower in zip(coeffs + [0], [0] + coeffs)]
+    return IntPoly(coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -187,14 +234,15 @@ _SIG6 = ((Fraction(1), Fraction(1, 2)), (Fraction(1, 6), Fraction(5, 6)))
 _SIG4 = ((Fraction(1), Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 4)))
 
 
-def _spec(label, num_coeffs, den_factors, rho, params, normalizer=1,
-          start=1, den_scale=1):
+def _spec(label, num_coeffs, den_scale, rho, params, normalizer=1):
+    """A start-1 catalog row, r(n) = den_scale * denominator_basis(...)."""
+    motive = Motive(params[0], params[1], Fraction(rho))
     return SeriesSpec(
-        motive=Motive(params[0], params[1], Fraction(rho)),
+        motive=motive,
         numerator_poly=IntPoly(num_coeffs),
-        denominator_poly=IntPoly.from_linear_factors(den_factors, den_scale),
+        denominator_poly=denominator_basis(motive, 1) * den_scale,
         normalizer=Fraction(normalizer),
-        start_index=start,
+        start_index=1,
         label=label,
     )
 
@@ -212,34 +260,33 @@ _M6 = ((Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
 
 _CATALOG = {
     "log2-eq8": lambda: _spec(
-        "log2-eq8", [-297, 1794], [(2, 0), (2, -1)], Fraction(1, 3888), _SIG6),
+        "log2-eq8", [-297, 1794], 2, Fraction(1, 3888), _SIG6),
     "log3-eq8a": lambda: _spec(
-        "log3-eq8a", [-14, 88], [(1, 0), (2, -1)], Fraction(1, 243), _SIG6),
+        "log3-eq8a", [-14, 88], 1, Fraction(1, 243), _SIG6),
     "log5-eq8b": lambda: _spec(
-        "log5-eq8b", [-62, 364], [(-1, 0), (2, -1)], Fraction(-1, 675), _SIG6),
+        "log5-eq8b", [-62, 364], -1, Fraction(-1, 675), _SIG6),
     "log2-eq9": lambda: _spec(
-        "log2-eq9", [-295245, 4353342, -15397068, 13885704],
-        [(2, 0), (2, -1), (6, -1), (6, -5)], Fraction(1, 1350000), _M4A),
+        "log2-eq9", [-295245, 4353342, -15397068, 13885704], 2,
+        Fraction(1, 1350000), _M4A),
     "log2-eq11": lambda: _spec(
-        "log2-eq11", [-81891, 1209726, -4300512, 3927264],
-        [(4, 0), (2, -1), (4, -1), (4, -3)], Fraction(1, 450000), _M4B),
+        "log2-eq11", [-81891, 1209726, -4300512, 3927264], 4,
+        Fraction(1, 450000), _M4B),
     "log2-eq13": lambda: _spec(
-        "log2-eq13", [-13858, 223397, -742257, 686430],
-        [(3, 0), (2, -1), (3, -1), (3, -2)], Fraction(1, 221184), _M4C),
+        "log2-eq13", [-13858, 223397, -742257, 686430], 3,
+        Fraction(1, 221184), _M4C),
     "log3-eq15a": lambda: _spec(
-        "log3-eq15a", [-3040, 44804, -158016, 141168],
-        [(1, 0), (2, -1), (6, -1), (6, -5)], Fraction(3, 50000), _M4A),
+        "log3-eq15a", [-3040, 44804, -158016, 141168], 1,
+        Fraction(3, 50000), _M4A),
     "log2-eq18": lambda: _spec(
         "log2-eq18",
         [-226846575, 5510613042, -40884797604, 126495134424,
-         -169950180480, 81969540480],
-        [(1, 0), (2, -1), (4, -1), (4, -3), (6, -1), (6, -5)],
+         -169950180480, 81969540480], 1,
         Fraction(1, 355770576), _M6, normalizer=Fraction(1, 4)),
     "log7-tableI": lambda: _spec(
-        "log7-tableI", [-16, 312], [(1, 0), (2, -1)], Fraction(27, 196),
+        "log7-tableI", [-16, 312], 1, Fraction(27, 196),
         _SIG6, normalizer=Fraction(1, 81)),
     "log10-tableI": lambda: _spec(
-        "log10-tableI", [23, -126], [(1, 0), (2, -1)], Fraction(-1, 80),
+        "log10-tableI", [23, -126], 1, Fraction(-1, 80),
         _SIG6, normalizer=Fraction(1, 2)),
 }
 
@@ -354,10 +401,11 @@ def d2_params(p: int) -> D2Params:
 
 def d2_series_from_abc(a: int, b: int, c: int, rho, label: str) -> SeriesSpec:
     """Series for the n=0 convention: (1/c) sum (a n + b)/((6n+1)(6n+5)) H(n)."""
+    motive = Motive(_SIG6[0], _SIG6[1], Fraction(rho))
     return SeriesSpec(
-        motive=Motive(_SIG6[0], _SIG6[1], Fraction(rho)),
+        motive=motive,
         numerator_poly=IntPoly([b, a]),
-        denominator_poly=IntPoly.from_linear_factors([(6, 1), (6, 5)]),
+        denominator_poly=denominator_basis(motive, 0),
         normalizer=Fraction(1, c),
         start_index=0,
         label=label,
@@ -389,10 +437,11 @@ def level1_series(p) -> SeriesSpec:
     rho = (p - 1) ** 6 / (108 * p ** 2 * (p + 1) ** 2)
     slope = 2 * (p * p - 14 * p + 1) * (p * p + 4 * p + 1)
     const = p ** 4 - 14 * p ** 3 - 94 * p ** 2 - 14 * p + 1
+    motive = Motive(_SIG6[0], _SIG6[1], rho)
     return SeriesSpec(
-        motive=Motive(_SIG6[0], _SIG6[1], rho),
+        motive=motive,
         numerator_poly=IntPoly([const, slope]),
-        denominator_poly=IntPoly.from_linear_factors([(6, 1), (6, 5)]),
+        denominator_poly=denominator_basis(motive, 0),
         normalizer=-(p - 1) / (12 * p ** 2 * (p + 1)),
         start_index=0,
         label=f"log({p})-level1",
@@ -405,11 +454,12 @@ def level2_series(p) -> SeriesSpec:
     if p <= 0 or (p - 1) ** 4 >= 16 * p * (p + 1) ** 2:
         raise ValueError(f"p={p} outside the level-2 convergence region")
     rho = -((p - 1) ** 4) / (16 * p * (p + 1) ** 2)
+    motive = Motive(_SIG4[0], _SIG4[1], rho)
     return SeriesSpec(
-        motive=Motive(_SIG4[0], _SIG4[1], rho),
+        motive=motive,
         numerator_poly=IntPoly([p * p + 10 * p + 1,
                                 2 * (p * p + 6 * p + 1)]),
-        denominator_poly=IntPoly.from_linear_factors([(4, 1), (4, 3)]),
+        denominator_poly=denominator_basis(motive, 0),
         normalizer=(p - 1) / (2 * p * (p + 1)),
         start_index=0,
         label=f"log({p})-level2",
@@ -443,11 +493,11 @@ def d4_family(p) -> SeriesSpec:
         4 * _D4_N2(p),
         8 * (p * p + 8 * p + 1) * _D4_N3(p),
     ]
+    motive = Motive(_M4A[0], _M4A[1], rho)
     return SeriesSpec(
-        motive=Motive(_M4A[0], _M4A[1], rho),
+        motive=motive,
         numerator_poly=IntPoly(coeffs),
-        denominator_poly=IntPoly.from_linear_factors(
-            [(10, 1), (10, 3), (10, 7), (10, 9)], scale=20),
+        denominator_poly=denominator_basis(motive, 0) * 20,
         normalizer=-(p - 1) / (p ** 2 * (p + 1) ** 5),
         start_index=0,
         label=f"log({p})-d4",
@@ -495,12 +545,11 @@ def d6_family(p) -> SeriesSpec:
         32 * _D6_N4(p),
         128 * (p * p + 5 * p + 1) * _D6_N5(p),
     ]
+    motive = Motive(_M6[0], _M6[1], rho)
     return SeriesSpec(
-        motive=Motive(_M6[0], _M6[1], rho),
+        motive=motive,
         numerator_poly=IntPoly(coeffs),
-        denominator_poly=IntPoly.from_linear_factors(
-            [(14, 1), (14, 3), (14, 5), (14, 9), (14, 11), (14, 13)],
-            scale=56),
+        denominator_poly=denominator_basis(motive, 0) * 56,
         normalizer=-(p - 1) / (p ** 4 * (p + 1) ** 5),
         start_index=0,
         label=f"log({p})-d6",

@@ -180,6 +180,21 @@ def test_scan_range_validation():
         alt.scan_range(5, 5, bits=alt.MIN_BITS - 1)
 
 
+def test_scan_reports_undecided_points(monkeypatch):
+    real = alt._examine
+
+    def examine(p, bits):
+        if p == 7:
+            raise RuntimeError("solver diverged")
+        return real(p, bits)
+
+    monkeypatch.setattr(alt, "_examine", examine)
+    with pytest.raises(alt.UndecidedScan) as info:
+        alt.scan_range(4, 11, bits=288)
+    assert [h.p for h in info.value.hits] == [5, 10]
+    assert info.value.undecided == [(7, "solver diverged")]
+
+
 def test_solution_invariants():
     hit = alt.scan_range(21, 21)[0]
     with pytest.raises(ValueError, match="negative"):

@@ -50,13 +50,17 @@ def test_merge_identity_and_associativity():
 def test_split_matches_naive_rational_sum():
     rng = random.Random(37)
     labels = list(sd.catalog_labels())
-    for _ in range(8):
-        spec = sd.catalog_get(rng.choice(labels))
+    specs = [sd.catalog_get(rng.choice(labels)) for _ in range(8)]
+    # start-0 members: the folded denominator is y(n+1), not x(n)
+    specs += [sd.level1_series(Fraction(8, 7)),
+              sd.level2_series(Fraction(1, 2)),
+              sd.d4_family(Fraction(5, 2)), sd.d6_family(3)]
+    for spec in specs:
         n = rng.randint(2, 60)
         lo = spec.start_index
         node = bs.split_range(spec, lo, lo + n)
         naive = sum((spec.term(k) for k in range(lo, lo + n)), Fraction(0))
-        assert spec.normalizer * node.value() == naive, spec.label
+        assert bs.node_sum(spec, node) == naive, spec.label
 
 
 def test_split_range_rejects_bad_range():
@@ -71,8 +75,8 @@ def test_start_zero_series_first_term_has_empty_product():
     spec = sd.level1_series(2)
     node = bs.split_range(spec, 0, 1)
     # term 0 carries no hypergeometric ratio factor at all
-    assert node.value() == Fraction(spec.numerator_poly(0),
-                                    1) / spec.denominator_poly(0)
+    assert bs.node_sum(spec, node) == (spec.normalizer * spec.numerator_poly(0)
+                                       / spec.denominator_poly(0))
 
 
 def test_doubling_digits_roughly_doubles_terms():
@@ -167,6 +171,17 @@ def test_leaf_size_boundary(monkeypatch):
     for leaf in (n + 1, n, n - 1, 3):
         monkeypatch.setattr(bs, "INT_LEAF_TERMS", leaf)
         assert bs.evaluate(spec, digits).decimal_digits == want, leaf
+
+
+def test_leaf_conversion_is_exact():
+    rng = random.Random(41)
+    edge = bs.CONVERT_BITS
+    values = [0, 1, -1, (1 << edge) - 1, 1 << edge, -(1 << (4 * edge + 3))]
+    values += [rng.choice((1, -1)) * rng.getrandbits(bits)
+               for bits in (edge + 1, 2 * edge + 1, 10_000, 70_001)]
+    with decimal.localcontext(bs._EXACT):
+        for v in values:
+            assert bs._to_decimal(v) == decimal.Decimal(v), v.bit_length()
 
 
 def test_negative_limit():

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import logseries
-from logseries import binsplit, cli, machin
+from logseries import altseries, binsplit, cli, machin
 
 
 def invoke(capsys, argv):
@@ -261,6 +261,23 @@ def test_alternating_scan_window(capsys):
     assert code == 0
     assert "-1/675" in out
     assert "-1/80" in out
+
+
+def test_alternating_undecided_point_exits_1(capsys, monkeypatch):
+    real = altseries._examine
+
+    def examine(p, bits):
+        if p == 7:
+            raise ValueError("p=7: series does not reproduce log 7")
+        return real(p, bits)
+
+    monkeypatch.setattr(altseries, "_examine", examine)
+    code, out, _ = invoke(capsys, ["alternating", "--scan", "4", "11",
+                                   "--bits", "288"])
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[1:3]] == ["5", "10"]
+    assert lines[3:] == ["undecided p=7: series does not reproduce log 7"]
 
 
 def test_alternating_bad_scan_bounds(capsys):

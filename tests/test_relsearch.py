@@ -51,9 +51,8 @@ def test_kernel_sums_match_an_independent_fraction_sum():
     sig6 = _m2a(Fraction(1, 3888))
     alternating = _m2a(Fraction(-1, 675))
     d4 = catalog_get("log2-eq9").motive
-    fractional = IntPoly([Fraction(1, 3), Fraction(-1, 2), Fraction(5, 6)])
     cases = [(m, rs.motive_denominator(m)) for m in (sig6, alternating, d4)]
-    cases.append((sig6, fractional))
+    cases.append((sig6, rs.motive_denominator(sig6) * Fraction(5, 6)))
     n_terms, bits = 25, 800
     for motive, denom in cases:
         for i in range(4):
@@ -205,6 +204,20 @@ def test_search_rediscovers_a_degree4_series(label):
                                   cost_bound=2.0)
     found = rs.search(spec.motive, _log_fixed(2, 400, 1300), 1, strategy)
     assert [(c.rho, c.coefficients) for c in found] == [(rho, coefficients)]
+    assert binsplit.cross_verify(found[0].series, spec, 60) >= 60
+
+
+def test_search_rediscovers_a_degree6_series():
+    from logseries import binsplit
+    spec = catalog_get("log2-eq18")
+    strategy = rs.LatticeStrategy(primes=(2, 3, 7),
+                                  exponent_bounds=((-4, 0), (-3, 0), (-7, 0)),
+                                  cost_bound=2.0)
+    found = rs.search(spec.motive, _log_fixed(2, 400, 1300), 1, strategy)
+    coefficients = (4, -226846575, 5510613042, -40884797604, 126495134424,
+                    -169950180480, 81969540480)
+    assert [(c.rho, c.coefficients) for c in found] == \
+        [(Fraction(1, 355770576), coefficients)]
     assert binsplit.cross_verify(found[0].series, spec, 60) >= 60
 
 

@@ -33,6 +33,13 @@ def test_series_spec_validation():
                       Fraction(1), 1, "bad")
 
 
+def test_series_spec_rejects_a_denominator_outside_both_forms():
+    good = sd.catalog_get("log3-eq8a")
+    with pytest.raises(ValueError, match=r"constant times n \* \(2n-1\)"):
+        sd.SeriesSpec(good.motive, good.numerator_poly, IntPoly([1, 1, 1]),
+                      Fraction(1), 1, "bad")
+
+
 PRINTED_COSTS = {
     "log2-eq8": Fraction(9679, 10000),
     "log3-eq8a": Fraction(14564, 10000),
