@@ -4,21 +4,31 @@ Two bivariate companions F(n, k), built from half-integer beta factors,
 interlace the pair of slowly convergent Gauss series for log p.
 Re-indexing F along a lattice direction (s, t) and telescoping against a
 rational certificate R(n, k) collapses the double sum onto the fast
-central-binomial series of the catalog, so exact verification of
+central-binomial series of the catalog, provided the pair identity
 
     F(n+1, k) - F(n, k) = R(n, k+1) F(n, k+1) - R(n, k) F(n, k)
 
-on a finite grid certifies the corresponding identity. Everything here
-is exact: the beta values are rationals and complex parameters live in
-Q(i), so a telescoping check either passes identically or names the
-failing grid points.
+holds. Dividing it by F(n, k) leaves only the companion's two shift
+ratios, A = F(n+1, k)/F(n, k) and B = F(n, k+1)/F(n, k), each a
+constant in Q(i) times a ratio of integer linear factors:
+
+    A - 1 = R(n, k+1) B - R(n, k).
+
+`certificate_telescoping_check` tests this form exactly at every point
+of a finite grid. That is an exact check on the grid, not a proof of
+the identity: no degree bound ties the grid to all (n, k) yet. The same
+ratios build the certificate sum along n and the limit rows along k, so
+the closed form `base_f` is evaluated only where each walk starts.
+Everything here is exact: the beta values are rationals and complex
+parameters live in Q(i), so a telescoping check either passes
+identically or names the failing grid points.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Callable
 
@@ -61,6 +71,48 @@ class WZContext:
         if not ok:
             raise ValueError(f"unsupported companion parameter {p!r}")
 
+    # One step of base_f from (N, K) multiplies by a constant in Q(i) and
+    # a ratio of linear factors over 2N + 2K + 3: 2N + 3 - variant for an
+    # n-step, 2K + variant for a k-step. The constants are computed on
+    # first use, not when the certificate registry is built at import.
+
+    def _base_step_constants(self):
+        p = self.p
+        sum_step = (p - 1) ** 2 / (p + 1) ** 2
+        product_step = -((p - 1) ** 2 / (p * 4))
+        if self.variant == 1:
+            return product_step, sum_step
+        return sum_step, product_step
+
+    @functools.cached_property
+    def n_constant(self):
+        """Constant factor of n_ratio: s base n-steps and t base k-steps."""
+        n_step, k_step = self._base_step_constants()
+        return n_step ** self.s * k_step ** self.t
+
+    @functools.cached_property
+    def k_constant(self):
+        """Constant factor of k_ratio: one base k-step."""
+        return self._base_step_constants()[1]
+
+    def n_ratio(self, n, k):
+        """Exact A = F_st(n+1, k) / F_st(n, k): s n-steps, then t k-steps."""
+        big_n, big_k = self.s * n, k + self.t * n
+        num = den = 1
+        for i in range(self.s):
+            num *= 2 * (big_n + i) + 3 - self.variant
+        for j in range(self.t):
+            num *= 2 * (big_k + j) + self.variant
+        for m in range(self.s + self.t):
+            den *= 2 * (big_n + big_k + m) + 3
+        return self.n_constant * Fraction(num, den)
+
+    def k_ratio(self, n, k):
+        """Exact B = F_st(n, k+1) / F_st(n, k): one k-step."""
+        big_n, big_k = self.s * n, k + self.t * n
+        return self.k_constant * Fraction(2 * big_k + self.variant,
+                                          2 * (big_n + big_k) + 3)
+
 
 @dataclasses.dataclass(frozen=True)
 class Certificate:
@@ -71,7 +123,6 @@ class Certificate:
     label: str
 
 
-@lru_cache(maxsize=None)
 def _beta_row(k, n):
     # B(k + 1/2, n + 1) = n! / prod_{j=0..n} (k + 1/2 + j), exactly rational
     # once the half integers are cleared: n! 2^(n+1) / prod (2k + 1 + 2j).
@@ -81,7 +132,6 @@ def _beta_row(k, n):
     return Fraction(factorial(n) << (n + 1), prod)
 
 
-@lru_cache(maxsize=None)
 def _beta_column(k, n):
     # B(k + 1, n + 1/2) = k! 2^(k+1) / prod_{j=0..k} (2n + 1 + 2j).
     prod = 1
@@ -90,7 +140,6 @@ def _beta_column(k, n):
     return Fraction(factorial(k) << (k + 1), prod)
 
 
-@lru_cache(maxsize=None)
 def base_f(ctx, n, k):
     """Exact companion value F(n, k) for the context's variant.
 
@@ -136,24 +185,34 @@ class TelescopingReport:
 def certificate_telescoping_check(cert, n_max=20, k_max=20):
     """Check the pair identity exactly at every point of [0,n_max]x[0,k_max].
 
+    It tests A - 1 == R(n, k+1) B - R(n, k) with the context's step
+    ratios: the identity divided by F_st(n, k), which for p != 1 has no
+    zero factor. At p = 1 F vanishes and every point passes. The result
+    is exact on the grid and proves nothing off it.
+
     G(n, k) is R(n, k) * F(s n, k + t n); a certificate pole inside the
     grid is recorded rather than raised so one bad point cannot mask the
     rest of the report.
     """
     ctx = cert.context
+    vanishing = ctx.p == 1
     failures = []
     poles = []
     for n in range(n_max + 1):
-        for k in range(k_max + 1):
+        row = []
+        for k in range(k_max + 2):
             try:
-                here = cert.ratio(n, k)
-                right = cert.ratio(n, k + 1)
+                row.append(cert.ratio(n, k))
             except ZeroDivisionError:
+                row.append(None)
+        for k in range(k_max + 1):
+            here, right = row[k], row[k + 1]
+            if here is None or right is None:
                 poles.append((n, k))
                 continue
-            lhs = f_st(ctx, n + 1, k) - f_st(ctx, n, k)
-            rhs = right * f_st(ctx, n, k + 1) - here * f_st(ctx, n, k)
-            if lhs != rhs:
+            if vanishing:
+                continue
+            if ctx.n_ratio(n, k) - 1 != right * ctx.k_ratio(n, k) - here:
                 failures.append((n, k))
     return TelescopingReport(
         cert.label, n_max, k_max, (n_max + 1) * (k_max + 1),
@@ -184,6 +243,32 @@ class CertificateSum:
         return self.real
 
 
+def exact_series_sum(cert, n_terms):
+    """Exact sum of G(n, 0) = R(n, 0) F_st(n, 0) for n = 0..n_terms.
+
+    Horner's rule on F_st(0, 0) (R(0, 0) + A(0) (R(1, 0) + A(1) (...)))
+    with A(n) = A(n, 0), innermost bracket first: each step adds a small
+    rational to the accumulator. First, a term whose magnitude fails to
+    decrease raises ValueError; that test divides both squared
+    magnitudes by |F_st(n-1, 0)|^2 (at p = 1, A = 0 and it never fires).
+    """
+    ctx = cert.context
+    ratios = [cert.ratio(0, 0)]
+    steps = []
+    for n in range(1, n_terms + 1):
+        here = cert.ratio(n, 0)
+        step = ctx.n_ratio(n - 1, 0)
+        size, previous = here.norm() * step.norm(), ratios[-1].norm()
+        if (size or previous) and size >= previous:
+            raise ValueError("series terms do not decrease; refusing to sum")
+        ratios.append(here)
+        steps.append(step)
+    total = ratios.pop()
+    while steps:
+        total = ratios.pop() + steps.pop() * total
+    return total * f_st(ctx, 0, 0)
+
+
 def gst_series_sum(cert, n_terms, bits):
     """Sum G(n, 0) for n = 0..n_terms; the limit is log p.
 
@@ -192,37 +277,13 @@ def gst_series_sum(cert, n_terms, bits):
     magnitude fails to decrease abort the sum (the certificate's series
     would be divergent, so its value would be meaningless).
     """
-    ctx = cert.context
-    total = GaussianRational(0)
-    previous = None
-    for n in range(n_terms + 1):
-        term = cert.ratio(n, 0) * f_st(ctx, n, 0)
-        size = term.norm()
-        if previous is not None and (size or previous) and size >= previous:
-            raise ValueError("series terms do not decrease; refusing to sum")
-        total = total + term
-        previous = size
+    total = exact_series_sum(cert, n_terms)
     return CertificateSum(
         real=FixedReal.from_rational(total.re, bits),
         imag=FixedReal.from_rational(total.im, bits),
         terms=n_terms + 1,
-        conjugate_pair=not ctx.p.is_rational(),
+        conjugate_pair=not cert.context.p.is_rational(),
     )
-
-
-def _row_ratio_bound(ctx):
-    """Exact r with |F(n, k+1)| <= r |F(n, k)| in the 1-norm, any n.
-
-    The k-step of either companion multiplies by a constant complex
-    factor times a ratio of linear terms that stays below 1 on the
-    grid, so the constant alone bounds the geometric decay rate.
-    """
-    p = ctx.p
-    if ctx.variant == 1:
-        step = (p - 1) ** 2 / (p + 1) ** 2
-    else:
-        step = (p - 1) ** 2 / (p * 4)
-    return abs(step.re) + abs(step.im)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -245,7 +306,10 @@ def limit_conditions_check(cert, n_probe, bits):
     exceed the magnitude of a half-index reference row.
     """
     ctx = cert.context
-    rate = _row_ratio_bound(ctx)
+    # |F(n, k+1)| <= rate |F(n, k)| in the 1-norm for any n: the k-step's
+    # linear factor stays below 1, so its constant bounds the decay
+    step = ctx.k_constant
+    rate = abs(step.re) + abs(step.im)
     if rate >= 1:
         zero = FixedReal(0, bits)
         return LimitReport(cert.label, n_probe, 0, zero, zero, False,
@@ -256,13 +320,14 @@ def limit_conditions_check(cert, n_probe, bits):
 
     def row(n):
         total = GaussianRational(0)
+        term = f_st(ctx, n, 0)
         k = 0
         while True:
-            term = f_st(ctx, n, k)
             total = total + term
             tail = (abs(term.re) + abs(term.im)) * geometric
             if tail <= tail_cut:
                 return total, tail, k + 1
+            term = term * ctx.k_ratio(n, k)
             k += 1
 
     total, tail, used = row(n_probe)

@@ -3,6 +3,8 @@
 The strongest checks are exact: the pair identity on a full grid, the
 independently derived one-step recurrences of both companions, and the
 term-for-term match between certificate sums and the catalog series.
+The ratio-form telescoping check and the certificate sum are compared
+with reference versions built on closed-form companion values.
 Digit-level checks lean on the interval oracle.
 """
 
@@ -12,7 +14,7 @@ from math import ceil, log
 import pytest
 
 from logseries import machin, seriesdef, wzcert
-from logseries.exactnum import GaussianRational
+from logseries.exactnum import FixedReal, GaussianRational
 from logseries.wzcert import (
     Certificate,
     WZContext,
@@ -20,6 +22,7 @@ from logseries.wzcert import (
     certificate_get,
     certificate_labels,
     certificate_telescoping_check,
+    exact_series_sum,
     f_st,
     gst_series_sum,
     limit_conditions_check,
@@ -119,6 +122,84 @@ def test_row_zero_sums_are_log_p():
             assert abs(total - want) < Fraction(1, 10 ** digits), (p, variant)
 
 
+def test_step_ratios_match_closed_form():
+    contexts = [certificate_get(label).context for label in certificate_labels()]
+    contexts += [
+        WZContext(variant, p, s, t)
+        for variant in (1, 2) for p in (5, GaussianRational(2, 1))
+        for s, t in ((1, 0), (3, 2))]
+    for ctx in contexts:
+        for n in range(6):
+            for k in range(6):
+                here = f_st(ctx, n, k)
+                assert ctx.n_ratio(n, k) * here == f_st(ctx, n + 1, k), (ctx, n, k)
+                assert ctx.k_ratio(n, k) * here == f_st(ctx, n, k + 1), (ctx, n, k)
+
+
+def _reference_telescoping_check(cert, n_max, k_max):
+    # The identity itself, on closed-form companion values.
+    ctx = cert.context
+    failures, poles = [], []
+    for n in range(n_max + 1):
+        for k in range(k_max + 1):
+            try:
+                here = cert.ratio(n, k)
+                right = cert.ratio(n, k + 1)
+            except ZeroDivisionError:
+                poles.append((n, k))
+                continue
+            lhs = f_st(ctx, n + 1, k) - f_st(ctx, n, k)
+            rhs = right * f_st(ctx, n, k + 1) - here * f_st(ctx, n, k)
+            if lhs != rhs:
+                failures.append((n, k))
+    return wzcert.TelescopingReport(
+        cert.label, n_max, k_max, (n_max + 1) * (k_max + 1),
+        tuple(failures), tuple(poles))
+
+
+def _holey(n, k):
+    if (n, k) == (2, 3):
+        raise ZeroDivisionError("pole")
+    return GaussianRational(1)
+
+
+def test_telescoping_check_matches_closed_form_reference():
+    certs = [certificate_get(label) for label in certificate_labels()]
+    good = certificate_get("log2-s2t1")
+    conjugate = certificate_get("log5-s2t1+i")
+    certs += [
+        Certificate(good.context,
+                    lambda n, k: good.ratio(n, k) + Fraction(1, 1000), "nudged"),
+        Certificate(conjugate.context,
+                    lambda n, k: conjugate.ratio(n, k).conjugate(), "flipped"),
+        Certificate(WZContext(1, 2, 2, 1), _holey, "holey"),
+    ]
+    for cert in certs:
+        report = certificate_telescoping_check(cert, 5, 5)
+        assert report == _reference_telescoping_check(cert, 5, 5), cert.label
+    assert [certificate_telescoping_check(c, 5, 5).passed for c in certs[-3:]] \
+        == [False, False, False]
+
+
+def test_telescoping_degenerate_parameter_passes():
+    # At p = 1 every companion value is 0, so the identity holds for any
+    # ratio; it is the one context where dividing by F would be wrong.
+    cert = Certificate(WZContext(1, 1, 2, 1),
+                       lambda n, k: GaussianRational(n - 2 * k, 3), "degenerate")
+    report = certificate_telescoping_check(cert, 6, 6)
+    assert report.passed and report.points == 49
+    assert report == _reference_telescoping_check(cert, 6, 6)
+
+
+def test_exact_series_sum_matches_closed_form_terms():
+    for label in certificate_labels():
+        cert = certificate_get(label)
+        partial = GaussianRational(0)
+        for n in range(31):
+            partial += cert.ratio(n, 0) * f_st(cert.context, n, 0)
+            assert exact_series_sum(cert, n) == partial, (label, n)
+
+
 def test_registry_has_conjugate_pairs():
     labels = certificate_labels()
     assert len(labels) == 8
@@ -162,13 +243,7 @@ def test_telescoping_pins_conjugate_sign():
 
 def test_telescoping_reports_poles_without_raising():
     ctx = WZContext(1, 2, 2, 1)
-
-    def holey(n, k):
-        if (n, k) == (2, 3):
-            raise ZeroDivisionError("pole")
-        return GaussianRational(1)
-
-    report = certificate_telescoping_check(Certificate(ctx, holey, "holey"), 4, 4)
+    report = certificate_telescoping_check(Certificate(ctx, _holey, "holey"), 4, 4)
     assert (2, 3) in report.poles
     assert (2, 2) in report.poles  # the k+1 evaluation hits the pole too
     assert not report.passed
@@ -225,6 +300,19 @@ def test_gst_divergence_guard():
     with pytest.raises(ValueError, match="do not decrease"):
         gst_series_sum(Certificate(ctx, growing, "growing"), 10, 128)
 
+    # flat has G(n, 0) = 1 for every n, and equal magnitudes count as not
+    # decreasing; halving has G(n, 0) = 2^-n and sums
+    def flat(n, k):
+        return 1 / f_st(ctx, n, 0)
+
+    def halving(n, k):
+        return Fraction(1, 2 ** n) / f_st(ctx, n, 0)
+
+    with pytest.raises(ValueError, match="do not decrease"):
+        gst_series_sum(Certificate(ctx, flat, "flat"), 10, 128)
+    assert exact_series_sum(Certificate(ctx, halving, "halving"), 10) \
+        == 2 - Fraction(1, 2 ** 10)
+
 
 def test_limit_conditions_probes():
     report = limit_conditions_check(certificate_get("log3-s2t1"), 5, 128)
@@ -237,6 +325,17 @@ def test_limit_conditions_probes():
 
     report = limit_conditions_check(certificate_get("log5-s1t2+i"), 4, 128)
     assert report.passed, report.reason
+
+
+def test_limit_rows_match_closed_form():
+    # The row walked by k-steps sums to the closed-form values' row sum.
+    for label, n_probe in (("log3-s2t1", 5), ("log2-s1t2", 3), ("log5-s1t2+i", 4)):
+        cert = certificate_get(label)
+        report = limit_conditions_check(cert, n_probe, 128)
+        total = sum((f_st(cert.context, n_probe, k) for k in range(report.k_terms)),
+                    GaussianRational(0))
+        size = abs(total.re) + abs(total.im)
+        assert report.row_size == FixedReal.from_rational(size, 128), label
 
 
 def test_limit_conditions_degenerate_parameter():
