@@ -28,15 +28,6 @@ def _positive_int(text):
     return value
 
 
-def _solver_bits(text):
-    value = _positive_int(text)
-    if value < altseries.MIN_BITS:
-        raise argparse.ArgumentTypeError(
-            f"must be at least {altseries.MIN_BITS}, the precision rational "
-            f"detection of the rate needs")
-    return value
-
-
 def _prime_list(text):
     try:
         primes = tuple(int(part) for part in text.split(","))
@@ -224,7 +215,7 @@ def _alternating_table(hits):
 def _cmd_alternating(args):
     lo, hi = args.scan if args.scan is not None else (args.p, args.p)
     try:
-        hits = altseries.scan_range(lo, hi, bits=args.bits)
+        hits = altseries.scan_range(lo, hi)
     except altseries.UndecidedScan as exc:
         lines = [_alternating_table(exc.hits)]
         lines += [f"undecided p={p}: {reason}" for p, reason in exc.undecided]
@@ -350,13 +341,11 @@ def _build_parser():
     p_prove.set_defaults(handler=_cmd_prove)
 
     p_alt = sub.add_parser(
-        "alternating", help="solve for alternating series with rational rates")
+        "alternating", help="find the alternating series with rational rates")
     which = p_alt.add_mutually_exclusive_group(required=True)
-    which.add_argument("--p", type=_positive_int, help="solve one target")
+    which.add_argument("--p", type=_positive_int, help="decide one target")
     which.add_argument("--scan", type=_positive_int, nargs=2,
                        metavar=("LO", "HI"), help="scan a range of targets")
-    p_alt.add_argument("--bits", type=_solver_bits, default=512,
-                       help="working precision for the solver")
     p_alt.add_argument("--out")
     p_alt.set_defaults(handler=_cmd_alternating)
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -18,6 +19,17 @@ TABLE = {
     56: {"m": -7, "abc": (179630, 126775, 5376), "rho": Fraction(-15625, 48384)},
 }
 
+# Re w and the rate on the alternating branch, recorded from the damped
+# Newton solver of (r, phi) that this closed form replaced (512 bits).
+NEWTON_REFERENCE = {
+    7: ("2.2426406871192851464050661726290942357090156261308",
+        "-0.0045999335595139213729449768413615399401135207466472"),
+    50: ("3.4537804230988022852508335951927263693153992866281",
+         "-0.27413427628880704502041818944161190240613608648162"),
+    133: ("3.7592270451226618035305106002898112780379370502208",
+          "-0.99538942612242537152674865630192980186279510265824"),
+}
+
 
 def _known_point(p):
     r, phi = {
@@ -29,10 +41,22 @@ def _known_point(p):
     return r, phi
 
 
+def _surd_mpf(x):
+    d = mpmath.mpf(x.d.numerator) / x.d.denominator
+    return alt._to_mpf(x.a) + alt._to_mpf(x.b) * mpmath.sqrt(d)
+
+
+def _hit_point(p):
+    """w = u + i v at a sporadic p, exactly in Q(sqrt(-v^2))."""
+    u = alt._branch(p)[0]
+    assert u.b == 0
+    return alt._Surd.root(u.a * u.a - p) + u.a
+
+
 def test_solve_matches_closed_form_points():
     with mpmath.workprec(400):
         for p in TABLE:
-            r, phi = alt.solve_r_phi(p, 256)
+            r, phi = alt._polar(p, 256)
             r_ref, phi_ref = _known_point(p)
             assert abs(alt._to_mpf(r) - r_ref) < mpmath.mpf(2) ** -250
             assert abs(alt._to_mpf(phi) - phi_ref) < mpmath.mpf(2) ** -250
@@ -42,7 +66,7 @@ def test_solve_residuals_are_tiny_across_the_range():
     rng = random.Random(19)
     with mpmath.workprec(320):
         for p in rng.sample(range(2, 134), 8):
-            r, phi = alt.solve_r_phi(p, 256)
+            r, phi = alt._polar(p, 256)
             rm, pm = alt._to_mpf(r), alt._to_mpf(phi)
             assert rm > 0 and 0 < pm < mpmath.pi
             assert abs(alt._sign_condition(rm, pm)) < mpmath.mpf(2) ** -128
@@ -50,85 +74,143 @@ def test_solve_residuals_are_tiny_across_the_range():
 
 
 def test_solve_rejects_small_p():
+    # at p = 1 the branch point degenerates to w = 1: no complex point,
+    # rate 0, so the scan starts at 2
+    u, rho = alt._branch(1)
+    assert (u.a, u.b, rho.a, rho.b) == (1, 0, 0, 0)
     with pytest.raises(ValueError):
-        alt.solve_r_phi(1, 128)
+        alt.scan_range(1, 1)
 
 
 def test_bisection_fallback_agrees_with_newton():
-    with mpmath.workprec(320):
-        got = alt._solve_by_bisection(21, 256)
-        assert got is not None
-        r, phi = got
-        assert abs(r - 4) < mpmath.mpf(2) ** -250
-        assert abs(phi - mpmath.pi / 3) < mpmath.mpf(2) ** -250
+    # convergence_limit's exact bisection against the edge the damped
+    # Newton iteration of the previous solver found (256 bits)
+    r, phi, p = alt.convergence_limit(256)
+    want = (Fraction("11.2690969060773813583554469948303744764010"),
+            Fraction("1.3233568434136630443098568013773999604810"),
+            Fraction("133.5126498706003981921450916646057737853456"))
+    for got, ref in zip((r, phi, p), want):
+        assert abs(got.to_fraction() - ref) < Fraction(1, 10 ** 39)
+
+
+def test_branch_matches_newton_references():
+    with mpmath.workprec(400):
+        for p, (u_ref, rho_ref) in NEWTON_REFERENCE.items():
+            u, rho = alt._branch(p)
+            assert abs(_surd_mpf(u) - mpmath.mpf(u_ref)) < mpmath.mpf(10) ** -48
+            assert abs(_surd_mpf(rho) - mpmath.mpf(rho_ref)) < mpmath.mpf(10) ** -48
+    # rho(7) = (62 - 44 sqrt 2)/49, and sqrt(D) = sqrt(288) = 12 sqrt 2
+    rho = alt._branch(7)[1]
+    assert rho.d == 288
+    assert (rho.a, 12 * rho.b) == (Fraction(62, 49), Fraction(-44, 49))
+
+
+def test_rational_rates_only_at_the_four_sporadic_targets():
+    # (1) rho(u+) - rho(u-) = 2 beta sqrt(D) for the two roots of the
+    # quadratic; 13824 p^2 beta is a polynomial in p of degree at most 3,
+    # so agreement at the points below proves the identity. It is nonzero
+    # for p > 0, so rho is rational exactly when D is a square.
+    for p in range(2, 200):
+        beta = alt._branch(p)[1].b
+        if beta:
+            assert 2 * beta == Fraction(-(p + 1) * (p * p + 7 * p + 1), 108 * p * p)
+    # (2) (p + 17)^2 - D = 288: D = s^2 splits 288 into (p+17-s)(p+17+s),
+    # two factors of equal parity
+    square_d = {(e + 288 // e) // 2 - 17
+                for e in range(1, isqrt(288) + 1)
+                if 288 % e == 0 and (e + 288 // e) % 2 == 0}
+    assert square_d == {0, 1, 5, 10, 21, 56}
+    rational = [p for p in range(2, 1000) if alt._branch(p)[1].b == 0]
+    assert rational == [5, 10, 21, 56]
+    for p in range(2, 134):
+        # u+ lies on the circle |w|^2 = p; the other root u- does not
+        u_plus = alt._branch(p)[0]
+        assert (u_plus * u_plus * -1 + p).sign() > 0
+        u_minus = (alt._Surd.root(p * p + 34 * p + 1) * -1 + (-p - 1)) / 4
+        assert (u_minus * u_minus + -p).sign() > 0
+        # the other factor of "rho is real", u = -(p^2-6p+1)/(2p+2),
+        # makes q = (w-1)^3/(w (w+1)) real, so rho = q^2/108 > 0 there
+        u = Fraction(-(p * p - 6 * p + 1), 2 * p + 2)
+        w = alt._Surd.root(u * u - p) + u
+        q = (w + -1) * (w + -1) * (w + -1) / (w * (w + 1))
+        assert q.b == 0 and q.a != 0
+
+
+def test_scan_limit_is_the_last_convergent_integer():
+    rho_last = alt._branch(alt.SCAN_LIMIT)[1]
+    rho_next = alt._branch(alt.SCAN_LIMIT + 1)[1]
+    assert (rho_last + 1).sign() > 0
+    assert (rho_next + 1).sign() < 0
+
+
+def test_surd_sign_is_exact():
+    root2 = alt._Surd.root(2)
+    assert (root2 * root2).b == 0 and (root2 * root2).a == 2
+    assert (root2 * -2 + 3).sign() == 1          # 3 - 2 sqrt 2 > 0
+    assert (root2 * -1 + Fraction(141421356, 10 ** 8)).sign() == -1
+    assert (root2 * 0).sign() == 0
+    assert ((root2 + 1) / (root2 + -1)).sign() == 1
+    with pytest.raises(ValueError, match="complex"):
+        alt._Surd.root(-3).sign()
 
 
 def test_rate_is_real_negative_rational_at_hits():
     for p, row in TABLE.items():
-        r, phi = alt.solve_r_phi(p, 512)
-        rate = alt.rho_from_r_phi(r, phi, 512)
-        assert alt.detect_rational(rate, 64) == row["rho"], p
+        rho = alt._branch(p)[1]
+        assert rho.b == 0 and rho.a == row["rho"], p
 
 
 def test_rate_rejects_inconsistent_point():
-    r, phi = alt.solve_r_phi(5, 256)
-    off = FixedReal.from_rational(phi.to_fraction() + Fraction(1, 1000), 256)
-    with pytest.raises(ValueError, match="imaginary"):
-        alt.rho_from_r_phi(r, off, 256)
+    hit = alt.scan_range(5, 5)[0]
+    off = FixedReal.from_rational(hit.phi.to_fraction() + Fraction(1, 1000), 256)
+    with pytest.raises(ValueError, match="system"):
+        alt.AlternatingSolution(p=hit.p, r=hit.r, phi=off, rho=hit.rho,
+                                m=hit.m, a=hit.a, b=hit.b, c=hit.c)
 
 
 def test_detect_rational_basics():
-    exact = FixedReal.from_rational(Fraction(1, 2), 256)
-    assert alt.detect_rational(exact, 64) == Fraction(1, 2)
-    with mpmath.workprec(360):
-        pi_fixed = FixedReal.from_rational(
-            sd._mpf_to_fraction(+mpmath.pi), 340)
-    assert alt.detect_rational(pi_fixed, 40) is None
-    with pytest.raises(ValueError):
-        alt.detect_rational(FixedReal.from_rational(Fraction(1, 3), 64), 64)
+    assert alt._Surd.root(Fraction(9, 16)).b == 0
+    assert alt._Surd.root(Fraction(9, 16)).a == Fraction(3, 4)
+    assert alt._Surd.root(0).b == 0
+    for d in (2, Fraction(1, 2), Fraction(8, 9), -4):
+        assert alt._Surd.root(d).b == 1, d
 
 
 def test_abc_recovers_printed_rows():
     for p, row in TABLE.items():
-        r, phi = alt.solve_r_phi(p, 512)
-        assert alt.abc_from_solution(p, r, phi, row["rho"]) == row["abc"], p
+        assert alt._abc(_hit_point(p)) == row["abc"], p
 
 
 def test_abc_rejects_non_sporadic_p():
-    r, phi = alt.solve_r_phi(7, 512)
-    rate = alt.rho_from_r_phi(r, phi, 512)
-    assert alt._confirmed_rational(rate, 64) is None
+    assert alt._branch(7)[1].b != 0
+    assert alt._examine(7) is None
 
 
 def test_p5_reproduces_the_catalog_series():
     row = sd.d2_params(5)
-    r, phi = alt.solve_r_phi(5, 512)
-    rho = alt.detect_rational(alt.rho_from_r_phi(r, phi, 512), 64)
-    assert rho == row.rho
-    assert alt.abc_from_solution(5, r, phi, rho) == (row.a, row.b, row.c)
-    rebuilt = sd.d2_series_from_abc(row.a, row.b, row.c, rho, "rebuilt")
+    assert alt._branch(5)[1].a == row.rho
+    assert alt._abc(_hit_point(5)) == (row.a, row.b, row.c)
+    rebuilt = sd.d2_series_from_abc(row.a, row.b, row.c, row.rho, "rebuilt")
     assert binsplit.cross_verify(rebuilt, sd.catalog_get("log5-eq8b"), 60) >= 60
 
 
 def test_norm_identity_at_hits():
     with mpmath.workprec(320):
         for p in TABLE:
-            r, phi = alt.solve_r_phi(p, 256)
+            r, phi = alt._polar(p, 256)
             point = 1 + alt._to_mpf(r) * mpmath.exp(
                 mpmath.mpc(0, 1) * alt._to_mpf(phi))
             assert abs(point * mpmath.conj(point) - p) < mpmath.mpf(2) ** -128
 
 
 def test_rate_agrees_with_parameter_map_route():
-    # same rate two ways: the trig form and (w-1)^6/(108 w^2 (w+1)^2)
-    with mpmath.workprec(320):
-        for p in TABLE:
-            r, phi = alt.solve_r_phi(p, 256)
-            rate = alt.rho_from_r_phi(r, phi, 256)
-            w = 1 + alt._to_mpf(r) * mpmath.exp(
-                mpmath.mpc(0, 1) * alt._to_mpf(phi))
-            other = (w - 1) ** 6 / (108 * w ** 2 * (w + 1) ** 2)
-            assert abs(alt._to_mpf(rate) - other) < mpmath.mpf(2) ** -120
+    # same rate two ways, exactly: the branch's closed form and
+    # (w-1)^6/(108 w^2 (w+1)^2) at the point itself
+    for p in TABLE:
+        w = _hit_point(p)
+        q = (w + -1) * (w + -1) * (w + -1) / (w * (w + 1))
+        other = q * q / 108
+        assert other.b == 0 and other.a == alt._branch(p)[1].a, p
 
 
 def test_field_identifier_squarefree_parts():
@@ -136,17 +218,21 @@ def test_field_identifier_squarefree_parts():
     assert alt._squarefree_part(60) == 15
     assert alt._squarefree_part(700) == 7
     assert alt._squarefree_part(12) == 3
+    assert alt._squarefree_part(8) == 2
     with pytest.raises(ValueError):
         alt._squarefree_part(0)
 
 
 def test_convergence_limit_printed_values():
-    r, phi, p = alt.convergence_limit(256)
+    # the tolerances of acceptance criterion 09, at the default precision
+    r, phi, p = alt.convergence_limit()
     assert abs(r.to_fraction() - Fraction(112691, 10000)) < Fraction(1, 1000)
     assert abs(phi.to_fraction() - Fraction(13233, 10000)) < Fraction(1, 1000)
     assert abs(p.to_fraction() - Fraction(1335126, 10000)) < Fraction(1, 1000)
-    rate = alt.rho_from_r_phi(r, phi, 256)
-    assert abs(rate.to_fraction() + 1) < Fraction(1, 2 ** 100)
+    with mpmath.workprec(320):
+        w = 1 + alt._to_mpf(r) * mpmath.exp(mpmath.mpc(0, 1) * alt._to_mpf(phi))
+        rate = (w - 1) ** 6 / (108 * w ** 2 * (w + 1) ** 2)
+        assert abs(rate + 1) < mpmath.mpf(2) ** -100
 
 
 def test_scan_narrow_window_is_empty():
@@ -176,23 +262,21 @@ def test_scan_range_validation():
         alt.scan_range(5, 200)
     with pytest.raises(ValueError):
         alt.scan_range(9, 6)
-    with pytest.raises(ValueError):
-        alt.scan_range(5, 5, bits=alt.MIN_BITS - 1)
 
 
 def test_scan_reports_undecided_points(monkeypatch):
     real = alt._examine
 
-    def examine(p, bits):
+    def examine(p):
         if p == 7:
-            raise RuntimeError("solver diverged")
-        return real(p, bits)
+            raise ValueError("p=7: series does not reproduce log 7 at 50 digits")
+        return real(p)
 
     monkeypatch.setattr(alt, "_examine", examine)
     with pytest.raises(alt.UndecidedScan) as info:
-        alt.scan_range(4, 11, bits=288)
+        alt.scan_range(4, 11)
     assert [h.p for h in info.value.hits] == [5, 10]
-    assert info.value.undecided == [(7, "solver diverged")]
+    assert info.value.undecided == [(7, "series does not reproduce log 7 at 50 digits")]
 
 
 def test_solution_invariants():

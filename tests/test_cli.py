@@ -241,23 +241,39 @@ def test_prove_unsupported_target(capsys):
 # ----------------------------------------------------------------------
 
 def test_alternating_single_target(capsys):
-    code, out, _ = invoke(capsys, ["alternating", "--p", "5",
-                                   "--bits", "288"])
+    code, out, _ = invoke(capsys, ["alternating", "--p", "5"])
     assert code == 0
     assert "-1/675" in out
     assert "(728, 604, 75)" in out
 
 
 def test_alternating_irrational_target(capsys):
-    code, out, _ = invoke(capsys, ["alternating", "--p", "7",
-                                   "--bits", "288"])
+    code, out, _ = invoke(capsys, ["alternating", "--p", "7"])
     assert code == 0
     assert "not rational" in out
 
 
+# Recorded from the numeric (r, phi) solver that the exact scan
+# replaced; the benchmark parses this table.
+ALTERNATING_SCAN = (
+    '#  p    m   rho              (a, b, c)                r               phi\n'
+    '   5   -1   -1/675           (728, 604, 75)           1.414213562373  0.785398163397\n'
+    '  10  -15   -1/80            (1134, 927, 80)          2.449489742783  0.911738290968\n'
+    '  21   -3   -256/3969        (8840, 6940, 441)        4.000000000000  1.047197551196\n'
+    '  56   -7   -15625/48384     (179630, 126775, 5376)   7.071067811865  1.209429202888\n'
+)
+
+
+def test_alternating_output_is_unchanged(capsys):
+    assert invoke(capsys, ["alternating", "--scan", "2", "133"])[:2] == (
+        0, ALTERNATING_SCAN)
+    assert invoke(capsys, ["alternating", "--p", "7"])[:2] == (
+        0, "p=7: the solved rate is not rational; "
+           "no alternating series of this shape exists\n")
+
+
 def test_alternating_scan_window(capsys):
-    code, out, _ = invoke(capsys, ["alternating", "--scan", "4", "11",
-                                   "--bits", "288"])
+    code, out, _ = invoke(capsys, ["alternating", "--scan", "4", "11"])
     assert code == 0
     assert "-1/675" in out
     assert "-1/80" in out
@@ -266,14 +282,13 @@ def test_alternating_scan_window(capsys):
 def test_alternating_undecided_point_exits_1(capsys, monkeypatch):
     real = altseries._examine
 
-    def examine(p, bits):
+    def examine(p):
         if p == 7:
             raise ValueError("p=7: series does not reproduce log 7")
-        return real(p, bits)
+        return real(p)
 
     monkeypatch.setattr(altseries, "_examine", examine)
-    code, out, _ = invoke(capsys, ["alternating", "--scan", "4", "11",
-                                   "--bits", "288"])
+    code, out, _ = invoke(capsys, ["alternating", "--scan", "4", "11"])
     assert code == 1
     lines = out.splitlines()
     assert [line.split()[0] for line in lines[1:3]] == ["5", "10"]
@@ -281,25 +296,9 @@ def test_alternating_undecided_point_exits_1(capsys, monkeypatch):
 
 
 def test_alternating_bad_scan_bounds(capsys):
-    code, _, err = invoke(capsys, ["alternating", "--scan", "9", "6",
-                                   "--bits", "288"])
+    code, _, err = invoke(capsys, ["alternating", "--scan", "9", "6"])
     assert code == 1
     assert err
-
-
-def test_alternating_bits_below_detection_floor_is_usage_error(capsys):
-    code, out, err = invoke(capsys, ["alternating", "--scan", "2", "12",
-                                     "--bits", "64"])
-    assert code == 2
-    assert "192" in err
-    assert not out
-
-
-def test_alternating_bits_at_detection_floor(capsys):
-    code, out, _ = invoke(capsys, ["alternating", "--scan", "2", "12",
-                                   "--bits", "192"])
-    assert code == 0
-    assert [line.split()[0] for line in out.splitlines()[1:]] == ["5", "10"]
 
 
 def test_alternating_needs_exactly_one_mode(capsys):
