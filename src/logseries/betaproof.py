@@ -22,11 +22,7 @@ import mpmath
 
 from .exactnum import GaussianRational, IntPoly, poly_gcd
 from . import binsplit, seriesdef
-
-
-def _self_power(k):
-    # k**k with the empty-product convention 0**0 = 1.
-    return k ** k if k else 1
+from .seriesdef import gamma_quotient_lambda, gamma_quotient_motive
 
 
 def _pochhammer(x, n):
@@ -41,33 +37,6 @@ def _pochhammer_half(count):
 # ----------------------------------------------------------------------
 #  Gamma-quotient motives
 # ----------------------------------------------------------------------
-
-def gamma_quotient_motive(m, nu):
-    """Pochhammer parameters of lam^n Gamma(nu n+1) Gamma(m n+1/2) / Gamma(N n+1/2).
-
-    Gauss multiplication splits each gamma factor into n-th Pochhammer
-    symbols at j/nu, (2j-1)/(2m) and (2j-1)/(2N); entries common to both
-    sides cancel. Returns (numerator_params, denominator_params) sorted
-    ascending.
-    """
-    if m < 0 or nu < 1:
-        raise ValueError("need m >= 0 and nu >= 1")
-    n_count = m + nu
-    tops = [Fraction(j, nu) for j in range(1, nu + 1)]
-    tops += [Fraction(2 * j - 1, 2 * m) for j in range(1, m + 1)]
-    bots = [Fraction(2 * j - 1, 2 * n_count) for j in range(1, n_count + 1)]
-    for value in list(tops):
-        if value in bots:
-            tops.remove(value)
-            bots.remove(value)
-    return tuple(sorted(tops)), tuple(sorted(bots))
-
-
-def gamma_quotient_lambda(m, nu):
-    """The growth constant N^N / (m^m nu^nu) with N = m + nu."""
-    n_count = m + nu
-    return Fraction(_self_power(n_count), _self_power(m) * _self_power(nu))
-
 
 def gamma_quotient_identity_check(m, nu, n_max):
     """Exact rational check that the Pochhammer product equals the

@@ -214,6 +214,8 @@ def _alternating_table(hits):
 
 def _cmd_alternating(args):
     lo, hi = args.scan if args.scan is not None else (args.p, args.p)
+    if lo < 2 or hi > altseries.SCAN_LIMIT:
+        raise UsageError(f"alternating targets must sit inside [2, {altseries.SCAN_LIMIT}]")
     try:
         hits = altseries.scan_range(lo, hi)
     except altseries.UndecidedScan as exc:
@@ -248,8 +250,7 @@ _FAMILIES = {
 
 
 def _cmd_family(args):
-    p = int(args.p) if args.p.denominator == 1 else args.p
-    spec = _FAMILIES[args.method](p)
+    spec = _FAMILIES[args.method](args.p)
     if args.digits:
         result = binsplit.evaluate(spec, args.digits)
         _emit(binsplit.render_digit_rows(result), args.out)

@@ -16,10 +16,11 @@ any other:
 
 Either way 1/r(n) cancels against a factor of M(n) or M(n+1), which
 lets binary splitting carry the sum in three integers (see binsplit).
-The module holds the fixed catalog of fast log series,
-the parametric level-1/level-2 families (signature 6 and 4 denominators),
-the degree-4 and degree-6 variable-p families, and the conversions
-between the two printed d=2 parameter conventions.
+The module holds the fixed catalog of fast log series, the conversions
+between the two printed d=2 parameter conventions, and the variable-x
+families: beta_family derives them from a beta integral on the
+gamma-quotient motives (m, nu) with odd m and even nu (level1, d4, d6);
+level2, motive (1, 1), is written out.
 """
 
 from __future__ import annotations
@@ -426,27 +427,8 @@ def d2_integer_form(spec: SeriesSpec) -> Tuple[int, int, int]:
 
 
 # ----------------------------------------------------------------------
-#  Parametric families
+#  Parametric families: level 2 by hand, the rest by beta_family
 # ----------------------------------------------------------------------
-
-def level1_series(p) -> SeriesSpec:
-    """Signature-6 family: converges for |p - 7| < 4*sqrt(3), p > 0."""
-    p = Fraction(p)
-    if p <= 0 or (p - 7) ** 2 >= 48:
-        raise ValueError(f"p={p} outside the level-1 convergence region")
-    rho = (p - 1) ** 6 / (108 * p ** 2 * (p + 1) ** 2)
-    slope = 2 * (p * p - 14 * p + 1) * (p * p + 4 * p + 1)
-    const = p ** 4 - 14 * p ** 3 - 94 * p ** 2 - 14 * p + 1
-    motive = Motive(_SIG6[0], _SIG6[1], rho)
-    return SeriesSpec(
-        motive=motive,
-        numerator_poly=IntPoly([const, slope]),
-        denominator_poly=denominator_basis(motive, 0),
-        normalizer=-(p - 1) / (12 * p ** 2 * (p + 1)),
-        start_index=0,
-        label=f"log({p})-level1",
-    )
-
 
 def level2_series(p) -> SeriesSpec:
     """Signature-4 family: alternating, converges for (p-1)^4 < 16p(p+1)^2."""
@@ -466,91 +448,95 @@ def level2_series(p) -> SeriesSpec:
     )
 
 
-_D4_N3 = IntPoly([27, -702, -1835, -2980, -1835, -702, 27])
-_D4_N2 = IntPoly([81, -1674, -27536, -70486, -104770, -70486, -27536,
-                  -1674, 81])
-_D4_N1 = IntPoly([69, -1674, -30752, -83670, -123146, -83670, -30752,
-                  -1674, 69])
-_D4_N0 = IntPoly([5, -130, -3184, -9694, -14314, -9694, -3184, -130, 5])
+def _self_power(k):
+    # k**k with the empty-product convention 0**0 = 1.
+    return k ** k if k else 1
+
+
+def gamma_quotient_motive(m, nu):
+    """Pochhammer parameters of lam^n Gamma(nu n+1) Gamma(m n+1/2) / Gamma(N n+1/2).
+
+    Gauss multiplication splits each gamma factor into n-th Pochhammer
+    symbols at j/nu, (2j-1)/(2m) and (2j-1)/(2N); entries common to both
+    sides cancel. Returns (numerator_params, denominator_params) sorted
+    ascending.
+    """
+    if m < 0 or nu < 1:
+        raise ValueError("need m >= 0 and nu >= 1")
+    n_count = m + nu
+    tops = [Fraction(j, nu) for j in range(1, nu + 1)]
+    tops += [Fraction(2 * j - 1, 2 * m) for j in range(1, m + 1)]
+    bots = [Fraction(2 * j - 1, 2 * n_count) for j in range(1, n_count + 1)]
+    for value in list(tops):
+        if value in bots:
+            tops.remove(value)
+            bots.remove(value)
+    return tuple(sorted(tops)), tuple(sorted(bots))
+
+
+def gamma_quotient_lambda(m, nu):
+    """The growth constant N^N / (m^m nu^nu) with N = m + nu."""
+    n_count = m + nu
+    return Fraction(_self_power(n_count), _self_power(m) * _self_power(nu))
+
+
+def beta_family(m, nu, x, name) -> SeriesSpec:
+    """The start-0 series for log x on the gamma-quotient motive (m, nu).
+
+    With a = (x+1)/(x-1), N = m + nu, X = 1 - t^2 and
+    Y = (X/(1-a^2))^(nu/2) (t/a)^m, F = log((t+a)/(t-a)) + log((1-Y)/(1+Y))/N
+    has F(1) - F(0) = log x, and for odd m and even nu F' = 2u(X)/v(X),
+    v = 1 - Y^2 = 1 - lam rho X^nu (1-X)^m. Expanding 1/v makes each term
+    a beta integral B(nu n+k, m n+1/2): log x = sum_n rho^n M(n) G(n),
+    G(n) = sum_k A_k prod_{j<k}(nu n+j) / prod_{j<=k}(N n+j-1/2), A_k the
+    X^(k-1) coefficient of u. G times the motive's denominator must be a
+    polynomial, or ValueError. Written in b = 1/a, u has a factor b, so
+    x = 1 gives the b -> 0 limit with normalizer 0.
+    """
+    if m < 1 or m % 2 == 0 or nu < 2 or nu % 2:
+        raise ValueError(f"beta_family needs odd m and even nu, got ({m}, {nu})")
+    x, lam, n_count = Fraction(x), gamma_quotient_lambda(m, nu), m + nu
+    # rho = 1 / (lam (1-a^2)^nu a^(2m)), kept finite at x = 1
+    rho = None if x <= 0 else ((x - 1) ** (2 * n_count)
+                               / (lam * (4 * x) ** nu * (x + 1) ** (2 * m)))
+    if rho is None or abs(rho) >= 1:
+        raise ValueError(f"p={x} outside the {name} convergence region")
+    b = (x - 1) / (x + 1)
+    # u/b is v / (1 - b^2 (1-X)) minus the Y term's share,
+    # b^(N-1) / (N (b^2-1)^(nu/2)) X^(nu/2-1) (1-X)^((m-1)/2) (N X - nu)
+    v = IntPoly([1]) - IntPoly([0] * nu + [
+        (-1) ** i * math.comb(m, i) for i in range(m + 1)]) * (lam * rho)
+    y_term = IntPoly.from_linear_factors(
+        [(1, 0)] * (nu // 2 - 1) + [(-1, 1)] * (m // 2) + [(n_count, -nu)])
+    u_over_b = (v.divmod(IntPoly([1 - b * b, b * b]))[0] - y_term
+                * (b ** (n_count - 1) / (n_count * (b * b - 1) ** (nu // 2))))
+    # G / b over its full denominator prod_{j<=N}(N n+j-1/2), nested in k
+    weights = u_over_b.coefficients + (0,) * n_count
+    top, full = IntPoly([]), IntPoly([1])
+    for k in range(n_count, 0, -1):
+        top = full * weights[k - 1] + IntPoly([k, nu]) * top
+        full = full * IntPoly([k - Fraction(1, 2), n_count])
+    motive = Motive(*gamma_quotient_motive(m, nu), rho)
+    denominator = denominator_basis(motive, 0)
+    # full over the motive's denominator: the factors its tops cancel
+    numerator, rest = top.divmod(full.divmod(denominator)[0])
+    if not rest.is_zero():
+        raise ValueError(f"({m}, {nu}): the summand has no polynomial numerator")
+    numerator, scale = numerator.primitive()
+    return SeriesSpec(motive, numerator, denominator, b * scale, 0,
+                      f"log({x})-{name}")
+
+
+def level1_series(p) -> SeriesSpec:
+    """Signature-6 family, motive (1, 2): |p - 7| < 4*sqrt(3), p > 0."""
+    return beta_family(1, 2, p, "level1")
 
 
 def d4_family(p) -> SeriesSpec:
-    """Degree-4 variable-p series (rate O((p-1)^10) near p=1).
-
-    The n^3 block multiplier is 8, not the printed 216: with 8 the p=2
-    instance agrees coefficient-for-coefficient with the catalog's fast
-    log 2 series under the index shift n -> n+1, and the series then
-    converges to log p for every p tried; with 216 it converges to
-    nothing useful.
-    """
-    p = Fraction(p)
-    rho = Fraction(27, 12500) * (p - 1) ** 10 / (p ** 2 * (p + 1) ** 6)
-    if p <= 0 or abs(rho) >= 1:
-        raise ValueError(f"p={p} outside the d=4 convergence region")
-    coeffs = [
-        3 * _D4_N0(p),
-        2 * _D4_N1(p),
-        4 * _D4_N2(p),
-        8 * (p * p + 8 * p + 1) * _D4_N3(p),
-    ]
-    motive = Motive(_M4A[0], _M4A[1], rho)
-    return SeriesSpec(
-        motive=motive,
-        numerator_poly=IntPoly(coeffs),
-        denominator_poly=denominator_basis(motive, 0) * 20,
-        normalizer=-(p - 1) / (p ** 2 * (p + 1) ** 5),
-        start_index=0,
-        label=f"log({p})-d4",
-    )
-
-
-def _palindrome(upper_half):
-    """Full descending coefficient list from the printed upper half
-    (the half includes the central coefficient)."""
-    return list(upper_half) + list(reversed(upper_half[:-1]))
-
-
-def _pal_poly(upper_half):
-    return IntPoly(list(reversed(_palindrome(upper_half))))
-
-
-_D6_N5 = _pal_poly([27, -648, 8208, -74682, -264859, -411740])
-_D6_N4 = _pal_poly([270, -5265, 53757, -400383, -7320270, -21251920,
-                    -30355514])
-_D6_N3 = _pal_poly([1005, -20040, 215166, -1773744, -32182333, -94707848,
-                    -135214940])
-_D6_N2 = _pal_poly([855, -17340, 195534, -1831956, -33025527, -98963632,
-                    -141374300])
-_D6_N1 = _pal_poly([327, -6708, 78486, -858504, -15564079, -47782020,
-                    -68437468])
-_D6_N0 = _pal_poly([15, -310, 3720, -46330, -887599, -2811664, -4047184])
+    """Degree-4 family, motive (3, 2): rate O((p-1)^10) near p = 1."""
+    return beta_family(3, 2, p, "d4")
 
 
 def d6_family(p) -> SeriesSpec:
-    """Degree-6 variable-p series (rate O((p-1)^14) near p=1).
-
-    The numerator blocks are palindromic in p; only their upper halves
-    are printed, the rest is completed by symmetry and validated
-    numerically in the test suite.
-    """
-    p = Fraction(p)
-    rho = Fraction(27, 823543) * (p - 1) ** 14 / (p ** 4 * (p + 1) ** 6)
-    if p <= 0 or abs(rho) >= 1:
-        raise ValueError(f"p={p} outside the d=6 convergence region")
-    coeffs = [
-        3 * _D6_N0(p),
-        2 * _D6_N1(p),
-        4 * _D6_N2(p),
-        8 * _D6_N3(p),
-        32 * _D6_N4(p),
-        128 * (p * p + 5 * p + 1) * _D6_N5(p),
-    ]
-    motive = Motive(_M6[0], _M6[1], rho)
-    return SeriesSpec(
-        motive=motive,
-        numerator_poly=IntPoly(coeffs),
-        denominator_poly=denominator_basis(motive, 0) * 56,
-        normalizer=-(p - 1) / (p ** 4 * (p + 1) ** 5),
-        start_index=0,
-        label=f"log({p})-d6",
-    )
+    """Degree-6 family, motive (3, 4): rate O((p-1)^14) near p = 1."""
+    return beta_family(3, 4, p, "d6")

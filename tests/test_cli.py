@@ -301,6 +301,16 @@ def test_alternating_bad_scan_bounds(capsys):
     assert err
 
 
+def test_alternating_targets_outside_the_scan_limit_are_usage_errors(capsys):
+    for argv in (["--p", "200"], ["--p", "1"], ["--scan", "2", "200"],
+                 ["--scan", "1", "9"]):
+        code, out, err = invoke(capsys, ["alternating"] + argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == ("usage error: alternating targets must sit inside "
+                       "[2, 133]\n")
+
+
 def test_alternating_needs_exactly_one_mode(capsys):
     assert invoke(capsys, ["alternating"])[0] == 2
     assert invoke(capsys, ["alternating", "--p", "5",
@@ -337,6 +347,16 @@ def test_family_domain_violation(capsys):
                                    "--p", "50"])
     assert code == 1
     assert "convergence region" in err
+
+
+def test_family_target_at_or_below_zero(capsys):
+    # the domain check comes before the rate, which divides by p and p + 1
+    for method, p in (("d4", "0"), ("d6", "-1")):
+        code, out, err = invoke(capsys, ["family", "--method", method,
+                                         "--p", p])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: p={p} outside the {method} convergence region\n"
 
 
 def test_family_malformed_target(capsys):

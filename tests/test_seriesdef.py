@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from logseries import betaproof as bp
 from logseries import machin
 from logseries import seriesdef as sd
 from logseries.exactnum import GaussianRational, IntPoly
@@ -286,31 +287,38 @@ def test_d4_rate_matches_catalog_at_p2():
     assert sd.d4_family(2).motive.rho == sd.catalog_get("log2-eq9").motive.rho
 
 
-def test_d4_p2_is_the_shifted_catalog_series():
-    # restating the fast log 2 series from n=0 must reproduce the family
-    # polynomial exactly: P_family(n, 2) == -P_catalog(n + 1)
-    p9 = sd.catalog_get("log2-eq9").numerator_poly
-    shifted = IntPoly([0])
-    power = IntPoly([1])
-    x_plus_1 = IntPoly([1, 1])
-    for c in p9.coefficients:
-        shifted = shifted + power * c
-        power = power * x_plus_1
-    family = sd.d4_family(2).numerator_poly
-    assert list(family.coefficients) == [-c for c in shifted.coefficients]
+def test_catalog_rows_are_family_members():
+    # each gamma-quotient catalog row with a real rational root is the
+    # derived series at its x: the same weights over the Pochhammer basis
+    members = [("log2-eq8", 1, 2, 2), ("log3-eq8a", 1, 2, 3),
+               ("log7-tableI", 1, 2, 7), ("log2-eq9", 3, 2, 2),
+               ("log3-eq15a", 3, 2, 3), ("log2-eq18", 3, 4, 2),
+               ("log2-eq11", 1, 4, 2)]
+    for label, m, nu, x in members:
+        row = bp.decompose_series(sd.catalog_get(label))
+        derived = bp.decompose_series(sd.beta_family(m, nu, x, "derived"))
+        assert (row.m, row.nu) == (m, nu), label
+        assert row.coefficients == derived.coefficients, label
+
+
+def test_beta_family_sums_to_log_x_on_other_motives():
+    for m, nu, x in [(1, 4, 2), (5, 2, Fraction(8, 7)), (1, 6, 3)]:
+        spec = sd.beta_family(m, nu, x, "derived")
+        total = _naive_sum(spec, sd.estimate_terms(spec, 50))
+        lo, hi = machin.log_interval(x, 55)
+        scaled = total.numerator * 10 ** 55 // total.denominator
+        assert abs(scaled - lo) < 10 ** 6, (m, nu, x)
+
+
+def test_beta_family_needs_odd_m_and_even_nu():
+    for m, nu in [(2, 2), (0, 2), (1, 1), (3, 3), (2, 1)]:
+        with pytest.raises(ValueError, match="odd m and even nu"):
+            sd.beta_family(m, nu, 2, "bad")
 
 
 def test_d6_rate_matches_catalog_at_p2():
     assert sd.d6_family(2).motive.rho == Fraction(1, 355770576)
     assert sd.d6_family(2).motive.rho == sd.catalog_get("log2-eq18").motive.rho
-
-
-def test_d6_palindromic_blocks():
-    # every numerator block read off p must equal its own reversal
-    for poly in (sd._D6_N5, sd._D6_N4, sd._D6_N3, sd._D6_N2, sd._D6_N1,
-                 sd._D6_N0):
-        coeffs = list(poly.coefficients)
-        assert coeffs == coeffs[::-1]
 
 
 def test_d6_degenerate_p1():
@@ -325,6 +333,11 @@ def test_family_domains_reject_divergent_p():
     with pytest.raises(ValueError):
         sd.d6_family(18)  # the series rate exceeds 1 from p=18 on
     sd.d6_family(17)
+    # the rate divides by p and p + 1, so p <= 0 is refused before it
+    for fn in (sd.level1_series, sd.d4_family, sd.d6_family):
+        for p in (0, -1, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="convergence region"):
+                fn(p)
 
 
 def test_empirical_rate_approaches_rho():
