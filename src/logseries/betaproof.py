@@ -6,7 +6,7 @@ integrals; summing under the integral sign turns the whole series into
 the integral of a rational function against dx/sqrt(1-x). This module
 computes the partial-fraction coefficients exactly, builds the integer
 integrand pair u(x)/v(x) for the degree-2 rows, validates the integral
-identities by high-precision quadrature against the catalog values, and
+identities by high-precision quadrature against the machin oracle, and
 evaluates the four hypergeometric closed forms that assemble the same
 constants out of atanh and log terms.
 """
@@ -21,7 +21,7 @@ from math import lcm, prod
 import mpmath
 
 from .exactnum import GaussianRational, IntPoly, poly_gcd
-from . import binsplit, seriesdef
+from . import machin, seriesdef
 from .seriesdef import gamma_quotient_lambda, gamma_quotient_motive
 
 
@@ -289,12 +289,6 @@ class IntegralReport:
     difference: str
 
 
-def _reference_log(p, digits):
-    """log p digit string from the cheapest catalog series for p."""
-    spec = seriesdef.catalog_get(seriesdef.cheapest_label(p))
-    return Fraction(Decimal(binsplit.evaluate(spec, digits).decimal_digits))
-
-
 def integral_value(pair, digits):
     """Quadrature value of integral_0^1 u/v dx/sqrt(1-x).
 
@@ -321,11 +315,13 @@ def integral_value(pair, digits):
 
 
 def integral_check(pair, expected_log_p, digits):
-    """Quadrature of the integrand pair against the series value of
+    """Quadrature of the integrand pair against the oracle's value of
     log expected_log_p, to `digits` decimal digits."""
     with mpmath.workdps(digits + 10):
         value = integral_value(pair, digits)
-        reference = _reference_log(expected_log_p, digits + 10)
+        # Fraction(str) refuses over 4,300 digits; Decimal parses any length
+        reference = Fraction(Decimal(machin.log_decimal(expected_log_p,
+                                                        digits + 10)))
         difference = abs(value - mpmath.mpf(reference.numerator) / reference.denominator)
         passed = difference < mpmath.mpf(10) ** (-digits)
         return IntegralReport(

@@ -2,12 +2,12 @@
 
 The series is compiled once into integer-only per-term factors: motive
 parameter denominators, rho's fraction and the numerator polynomial's
-coefficient denominators are cleared up front. Every admissible series
-divides term n by a constant times the linear factors of x(n) (start 1)
-or of y(n+1) (start 0), the cleared numerator and denominator of the
-motive's term ratio (see seriesdef). That division cancels the last
-factor of the P or Q product, and the constant moves into one compiled
-rational `scale`. A term range then folds into a 3-integer node
+coefficient denominators are cleared up front. Every series divides
+term n by its stored constant lambda times the linear factors of x(n)
+(start 1) or of y(n+1) (start 0), the cleared numerator and
+denominator of the motive's term ratio (see seriesdef). That division
+cancels the last factor of the P or Q product, and the constant moves
+into one compiled rational `scale`. A term range then folds into a 3-integer node
 (P, Q, T) whose merge costs four products, and the partial sum over the
 range is scale * T/Q (Haible & Papanikolaou's P, Q, T recurrence).
 `evaluate` builds leaves of up to INT_LEAF_TERMS terms in int and does

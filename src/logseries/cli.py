@@ -214,6 +214,8 @@ def _alternating_table(hits):
 
 def _cmd_alternating(args):
     lo, hi = args.scan if args.scan is not None else (args.p, args.p)
+    if lo > hi:
+        raise UsageError("alternating --scan needs LO <= HI")
     if lo < 2 or hi > altseries.SCAN_LIMIT:
         raise UsageError(f"alternating targets must sit inside [2, {altseries.SCAN_LIMIT}]")
     try:

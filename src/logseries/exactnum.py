@@ -281,27 +281,6 @@ class IntPoly:
             scale = -scale
         return IntPoly([c / scale for c in self.coefficients]), scale
 
-    def real_root_upper_bound(self):
-        """Cauchy bound: every real root has |root| < this value."""
-        if self.degree() < 1:
-            return Fraction(0)
-        lead = abs(self.leading())
-        m = max(abs(c) for c in self.coefficients[:-1])
-        return 1 + m / lead
-
-    def integer_roots_at_or_above(self, start):
-        """Exact list of integer roots >= start (scans up to the Cauchy bound)."""
-        if self.is_zero():
-            raise ValueError("zero polynomial vanishes everywhere")
-        roots = []
-        bound = self.real_root_upper_bound()
-        n = start
-        while Fraction(n) <= bound:
-            if self(n) == 0:
-                roots.append(n)
-            n += 1
-        return roots
-
     def __repr__(self):
         return f"IntPoly({list(self.coefficients)})"
 

@@ -24,7 +24,7 @@ import mpmath
 
 from . import binsplit
 from .exactnum import FixedReal, IntPoly
-from .seriesdef import Motive, SeriesSpec, denominator_basis
+from .seriesdef import Motive, SeriesSpec
 
 log = logging.getLogger(__name__)
 
@@ -38,6 +38,9 @@ COEFF_NORM_BITS = 205
 # that reaches it reports no relation.
 PSLQ_MAX_STEPS = 2000
 
+# Lattice rates at or above this cannot converge usefully and are skipped.
+RHO_BOUND = Fraction(3, 5)
+
 
 # ----------------------------------------------------------------------
 #  Strategy and result types
@@ -47,22 +50,19 @@ PSLQ_MAX_STEPS = 2000
 class LatticeStrategy:
     """Which rates to try and when to give up on one.
 
-    cost_bound of 0 disables that filter; rho_bound is always applied
-    (a rate at or above it cannot converge usefully).
+    cost_bound of 0 disables that filter; RHO_BOUND is always applied.
     working_digits of 0 defers to the 20*(h+2) weight-rule floor.
     """
 
     primes: Tuple[int, ...]
     exponent_bounds: Tuple[Tuple[int, int], ...]
     cost_bound: float = 0.0
-    rho_bound: Fraction = Fraction(3, 5)
     working_digits: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "primes", tuple(int(p) for p in self.primes))
         object.__setattr__(self, "exponent_bounds", tuple(
             (int(lo), int(hi)) for lo, hi in self.exponent_bounds))
-        object.__setattr__(self, "rho_bound", Fraction(self.rho_bound))
         if any(p <= 1 for p in self.primes):
             raise ValueError("primes must be integers > 1")
         if len(set(self.primes)) != len(self.primes):
@@ -71,8 +71,6 @@ class LatticeStrategy:
             raise ValueError("need one exponent range per prime")
         if any(lo > hi for lo, hi in self.exponent_bounds):
             raise ValueError("exponent ranges must satisfy min <= max")
-        if not 0 < self.rho_bound < 1:
-            raise ValueError("rho_bound must sit in (0, 1)")
         if self.cost_bound < 0 or self.working_digits < 0:
             raise ValueError("bounds cannot be negative")
 
@@ -109,17 +107,17 @@ class RelationCandidate:
 #  Partial sums
 # ----------------------------------------------------------------------
 
-def _exact_si(motive: Motive, denom_poly: IntPoly, i: int, N: int) -> Fraction:
-    """s_i truncated at N, exactly: the binary-splitting sum of a series
-    with numerator n^i over denom_poly."""
-    spec = SeriesSpec(motive, IntPoly([0] * i + [1]), denom_poly,
+def _exact_si(motive: Motive, i: int, N: int) -> Fraction:
+    """s_i truncated at N, exactly: the binary-splitting sum of the
+    start-1 series with numerator n^i and lambda = 1."""
+    spec = SeriesSpec(motive, IntPoly([0] * i + [1]), Fraction(1),
                       Fraction(1), 1, f"s_{i}")
     return binsplit.node_sum(spec, binsplit.split_range(spec, 1, N + 1))
 
 
-def partial_sum_si(motive: Motive, denom_poly: IntPoly, i: int, N: int,
-                   bits: int) -> FixedReal:
-    """Sum over n=1..N of n^i/denom(n) * prod_{k<=n} rho*num(k)/den(k).
+def partial_sum_si(motive: Motive, i: int, N: int, bits: int) -> FixedReal:
+    """Sum over n=1..N of n^i/r(n) * prod_{k<=n} rho*num(k)/den(k), with
+    r(n) = prod (v*n - v + u) over the numerator parameters u/v.
 
     The sum is exact; only the final value is rounded to `bits`.
     """
@@ -127,14 +125,7 @@ def partial_sum_si(motive: Motive, denom_poly: IntPoly, i: int, N: int,
         raise ValueError("need i >= 0")
     if N < 1:
         raise ValueError("need N >= 1")
-    return FixedReal.from_rational(_exact_si(motive, denom_poly, i, N), bits)
-
-
-def motive_denominator(motive: Motive) -> IntPoly:
-    """The integer-cleared product over the numerator parameters: for
-    each fraction u/v a factor (v*n - v + u); this is the r(n) the
-    partial sums divide by."""
-    return denominator_basis(motive, 1)
+    return FixedReal.from_rational(_exact_si(motive, i, N), bits)
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +212,7 @@ def _admissible_points(strategy: LatticeStrategy, d: int, wd: int):
         rho = Fraction(1)
         for p, e in zip(strategy.primes, exps):
             rho *= Fraction(p) ** e
-        if rho >= strategy.rho_bound:
+        if rho >= RHO_BOUND:
             continue
         lr = math.log(rho.denominator) - math.log(rho.numerator)
         cost = 4 * d / lr
@@ -230,9 +221,9 @@ def _admissible_points(strategy: LatticeStrategy, d: int, wd: int):
         yield rho, cost, math.ceil(2.5 * wd * math.log(10) / lr)
 
 
-def _examine_point(motive, r_poly, target, h, rho, n_terms, bits, cost):
+def _examine_point(motive, target, h, rho, n_terms, bits, cost):
     point = Motive(motive.num_params, motive.den_params, rho)
-    exact = [_exact_si(point, r_poly, i, n_terms) for i in range(h + 1)]
+    exact = [_exact_si(point, i, n_terms) for i in range(h + 1)]
     sums = [FixedReal.from_rational(x, bits) for x in exact]
     tgt = FixedReal.from_rational(target.to_fraction(), bits)
     values = [tgt] + [sums[i] for i in range(h, -1, -1)]
@@ -255,7 +246,7 @@ def _examine_point(motive, r_poly, target, h, rho, n_terms, bits, cost):
     spec = SeriesSpec(
         motive=point,
         numerator_poly=IntPoly(alphas),
-        denominator_poly=r_poly,
+        denominator_scale=Fraction(1),
         normalizer=Fraction(1, beta),
         start_index=1,
         label=f"relation[rho={rho}]",
@@ -316,12 +307,11 @@ def search(motive: Motive, target: FixedReal, target_weight: int,
         log.warning("target carries %d bits but confirmation needs %d; "
                     "skipping the search", target.bit_precision, target_bits)
         return []
-    r_poly = motive_denominator(motive)
     found = []
     for rho, cost, n_terms in _admissible_points(strategy, d, wd):
         for sign in (1, -1):
-            candidate = _examine_point(motive, r_poly, target, h,
-                                       sign * rho, n_terms, bits, cost)
+            candidate = _examine_point(motive, target, h, sign * rho,
+                                       n_terms, bits, cost)
             if candidate is not None:
                 found.append(candidate)
     found.sort(key=lambda c: c.cost)

@@ -5,9 +5,9 @@ A series here is
     omega = normalizer * sum_{n>=start} p(n)/r(n) * rho^n * M(n)
 
 with M(n) a ratio of rising-factorial products over the motive's
-parameter lists. The denominator r(n) is a constant times one of two
-products of the motive's own linear factors, and SeriesSpec rejects
-any other:
+parameter lists. A SeriesSpec stores only the constant lambda and
+derives r(n) from the motive and the start index, as lambda times one
+of two products of the motive's own linear factors:
 
     start 1:  r(n) = lambda * prod (v*n + u - v) over num_params u/v,
               the factors of M(n)/M(n-1);
@@ -94,36 +94,25 @@ class Motive:
 class SeriesSpec:
     motive: Motive
     numerator_poly: IntPoly
-    denominator_poly: IntPoly
+    denominator_scale: Fraction
     normalizer: Fraction
     start_index: int
     label: str
 
     def __post_init__(self):
+        object.__setattr__(self, "denominator_scale",
+                           Fraction(self.denominator_scale))
         object.__setattr__(self, "normalizer", Fraction(self.normalizer))
         if self.start_index not in (0, 1):
             raise ValueError("start_index must be 0 or 1")
-        if self.denominator_poly.degree() != self.motive.d:
-            raise ValueError(
-                f"{self.label}: denominator degree "
-                f"{self.denominator_poly.degree()} != motive d {self.motive.d}")
-        roots = self.denominator_poly.integer_roots_at_or_above(self.start_index)
-        if roots:
-            raise ValueError(
-                f"{self.label}: denominator vanishes at n={roots[0]}")
-        basis = denominator_basis(self.motive, self.start_index)
-        if self.denominator_poly != basis * self.denominator_scale:
-            factors = _basis_factors(self.motive, self.start_index)
-            raise ValueError(
-                f"{self.label}: a start-{self.start_index} denominator must "
-                f"be a constant times "
-                f"{' * '.join(_factor_text(*f) for f in factors)}")
+        if self.denominator_scale == 0:
+            raise ValueError(f"{self.label}: denominator scale must be nonzero")
 
     @property
-    def denominator_scale(self) -> Fraction:
-        """The constant lambda in r(n) = lambda * denominator_basis(...)."""
-        return (self.denominator_poly.leading()
-                / denominator_basis(self.motive, self.start_index).leading())
+    def denominator_poly(self) -> IntPoly:
+        """r(n) = denominator_scale * denominator_basis(motive, start)."""
+        return (denominator_basis(self.motive, self.start_index)
+                * self.denominator_scale)
 
     def term(self, n):
         """Exact value of term n including normalizer (slow; for testing)."""
@@ -167,24 +156,14 @@ class D2Params:
                 raise ValueError(f"p={self.p}: stored z does not square to z^2")
 
 
-def _basis_factors(motive: Motive, start: int):
-    params = motive.num_params if start == 1 else motive.den_params
-    return [(f.denominator, f.numerator - f.denominator * start)
-            for f in params]
-
-
-def _factor_text(b, shift):
-    term = f"{b if b != 1 else ''}n"
-    return f"({term}{shift:+d})" if shift else term
-
-
 def denominator_basis(motive: Motive, start: int) -> IntPoly:
     """The integer product of linear factors that a series of `motive`
     starting at `start` divides by, up to a constant: over num_params
     u/v the factors v*n + u - v (start 1), over den_params u/w the
-    factors w*n + u (start 0)."""
+    factors w*n + u (start 0). Each is positive from n = start on."""
     coeffs = [1]
-    for b, shift in _basis_factors(motive, start):
+    for f in motive.num_params if start == 1 else motive.den_params:
+        b, shift = f.denominator, f.numerator - f.denominator * start
         coeffs = [c * shift + lower * b
                   for c, lower in zip(coeffs + [0], [0] + coeffs)]
     return IntPoly(coeffs)
@@ -237,11 +216,10 @@ _SIG4 = ((Fraction(1), Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 4)))
 
 def _spec(label, num_coeffs, den_scale, rho, params, normalizer=1):
     """A start-1 catalog row, r(n) = den_scale * denominator_basis(...)."""
-    motive = Motive(params[0], params[1], Fraction(rho))
     return SeriesSpec(
-        motive=motive,
+        motive=Motive(params[0], params[1], Fraction(rho)),
         numerator_poly=IntPoly(num_coeffs),
-        denominator_poly=denominator_basis(motive, 1) * den_scale,
+        denominator_scale=den_scale,
         normalizer=Fraction(normalizer),
         start_index=1,
         label=label,
@@ -402,11 +380,10 @@ def d2_params(p: int) -> D2Params:
 
 def d2_series_from_abc(a: int, b: int, c: int, rho, label: str) -> SeriesSpec:
     """Series for the n=0 convention: (1/c) sum (a n + b)/((6n+1)(6n+5)) H(n)."""
-    motive = Motive(_SIG6[0], _SIG6[1], Fraction(rho))
     return SeriesSpec(
-        motive=motive,
+        motive=Motive(_SIG6[0], _SIG6[1], Fraction(rho)),
         numerator_poly=IntPoly([b, a]),
-        denominator_poly=denominator_basis(motive, 0),
+        denominator_scale=Fraction(1),
         normalizer=Fraction(1, c),
         start_index=0,
         label=label,
@@ -436,12 +413,11 @@ def level2_series(p) -> SeriesSpec:
     if p <= 0 or (p - 1) ** 4 >= 16 * p * (p + 1) ** 2:
         raise ValueError(f"p={p} outside the level-2 convergence region")
     rho = -((p - 1) ** 4) / (16 * p * (p + 1) ** 2)
-    motive = Motive(_SIG4[0], _SIG4[1], rho)
     return SeriesSpec(
-        motive=motive,
+        motive=Motive(_SIG4[0], _SIG4[1], rho),
         numerator_poly=IntPoly([p * p + 10 * p + 1,
                                 2 * (p * p + 6 * p + 1)]),
-        denominator_poly=denominator_basis(motive, 0),
+        denominator_scale=Fraction(1),
         normalizer=(p - 1) / (2 * p * (p + 1)),
         start_index=0,
         label=f"log({p})-level2",
@@ -517,13 +493,12 @@ def beta_family(m, nu, x, name) -> SeriesSpec:
         top = full * weights[k - 1] + IntPoly([k, nu]) * top
         full = full * IntPoly([k - Fraction(1, 2), n_count])
     motive = Motive(*gamma_quotient_motive(m, nu), rho)
-    denominator = denominator_basis(motive, 0)
     # full over the motive's denominator: the factors its tops cancel
-    numerator, rest = top.divmod(full.divmod(denominator)[0])
+    numerator, rest = top.divmod(full.divmod(denominator_basis(motive, 0))[0])
     if not rest.is_zero():
         raise ValueError(f"({m}, {nu}): the summand has no polynomial numerator")
     numerator, scale = numerator.primitive()
-    return SeriesSpec(motive, numerator, denominator, b * scale, 0,
+    return SeriesSpec(motive, numerator, Fraction(1), b * scale, 0,
                       f"log({x})-{name}")
 
 

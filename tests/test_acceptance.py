@@ -214,8 +214,8 @@ def test_criterion_09_alternating_suite():
 
 def test_criterion_10_parametric_families():
     """Every family member inside its convergent range reproduces the
-    oracle at 60 digits; the palindromic degree-6 construction also
-    holds at the interior rational point p = 5/2."""
+    oracle at 60 digits; the degree-6 family also holds at the interior
+    rational point p = 5/2."""
     domains = [
         (sd.level1_series, range(2, 14)),
         (sd.level2_series, range(2, 22)),

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from logseries import betaproof as bp
-from logseries import machin
+from logseries import binsplit, machin
 from logseries import seriesdef as sd
 from logseries.exactnum import GaussianRational, IntPoly
 
@@ -181,7 +181,12 @@ def test_integrand_pair_validation():
         bp.IntegrandPair(IntPoly([1]), IntPoly([-1, 2]))  # root at 1/2
 
 
-def test_integral_check_all_printed_rows():
+def test_integral_check_all_printed_rows(monkeypatch):
+    # the reference is the oracle, never a series such as the row under proof
+    def no_series(*args):
+        raise AssertionError("integral_check evaluated a series")
+
+    monkeypatch.setattr(binsplit, "evaluate", no_series)
     for p in (2, 3, 5, 7, 10):
         pair = bp.build_integrand(sd.d2_params(p))
         report = bp.integral_check(pair, p, 40)

@@ -108,7 +108,7 @@ def test_evaluate_rejects_bad_input():
         bs.evaluate(spec, 0)
     divergent = sd.SeriesSpec(
         sd.Motive(spec.motive.num_params, spec.motive.den_params, Fraction(1)),
-        spec.numerator_poly, spec.denominator_poly, Fraction(1), 1, "divergent")
+        spec.numerator_poly, spec.denominator_scale, Fraction(1), 1, "divergent")
     with pytest.raises(ValueError):
         bs.evaluate(divergent, 10)
 

@@ -296,9 +296,10 @@ def test_alternating_undecided_point_exits_1(capsys, monkeypatch):
 
 
 def test_alternating_bad_scan_bounds(capsys):
-    code, _, err = invoke(capsys, ["alternating", "--scan", "9", "6"])
-    assert code == 1
-    assert err
+    code, out, err = invoke(capsys, ["alternating", "--scan", "9", "6"])
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: alternating --scan needs LO <= HI\n"
 
 
 def test_alternating_targets_outside_the_scan_limit_are_usage_errors(capsys):

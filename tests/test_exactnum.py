@@ -138,10 +138,3 @@ def test_poly_gcd_known_factor():
     assert g == IntPoly([-5, 1])
     coprime = poly_gcd(IntPoly([1, 1]), IntPoly([2, 1]))
     assert coprime.degree() == 0
-
-
-def test_integer_roots_scan():
-    p = IntPoly.from_linear_factors([(1, -3), (1, -7), (2, 1)])
-    assert p.integer_roots_at_or_above(0) == [3, 7]
-    assert p.integer_roots_at_or_above(4) == [7]
-    assert p.integer_roots_at_or_above(8) == []

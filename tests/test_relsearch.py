@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from logseries import machin
+from logseries import binsplit, machin
 from logseries import relsearch as rs
 from logseries.exactnum import FixedReal, IntPoly
-from logseries.seriesdef import Motive, catalog_get
+from logseries.seriesdef import Motive, SeriesSpec, catalog_get, denominator_basis
 
 
 def _m2a(rho=Fraction(1, 2)):
@@ -24,24 +24,21 @@ def _log_fixed(p, digits, bits):
 
 def test_single_term_sum_is_the_first_term():
     motive = _m2a(Fraction(1, 243))
-    r_poly = rs.motive_denominator(motive)
-    got = rs.partial_sum_si(motive, r_poly, 0, 1, 256)
+    got = rs.partial_sum_si(motive, 0, 1, 256)
     assert abs(got.to_fraction() - Fraction(2, 135)) <= Fraction(1, 2 ** 255)
 
 
 def test_sums_stabilize_once_the_tail_is_spent():
     motive = _m2a(Fraction(1, 3888))
-    r_poly = rs.motive_denominator(motive)
-    a = rs.partial_sum_si(motive, r_poly, 1, 60, 400)
-    b = rs.partial_sum_si(motive, r_poly, 1, 70, 400)
+    a = rs.partial_sum_si(motive, 1, 60, 400)
+    b = rs.partial_sum_si(motive, 1, 70, 400)
     assert abs(a.to_fraction() - b.to_fraction()) < Fraction(1, 10 ** 60)
 
 
 def test_weighted_sums_rebuild_log3():
     motive = _m2a(Fraction(1, 243))
-    r_poly = rs.motive_denominator(motive)
-    s1 = rs.partial_sum_si(motive, r_poly, 1, 250, 500)
-    s0 = rs.partial_sum_si(motive, r_poly, 0, 250, 500)
+    s1 = rs.partial_sum_si(motive, 1, 250, 500)
+    s0 = rs.partial_sum_si(motive, 0, 250, 500)
     combo = 88 * s1.to_fraction() - 14 * s0.to_fraction()
     want = Fraction(machin.log_decimal(3, 130))
     assert abs(combo - want) < Fraction(1, 10 ** 100)
@@ -51,32 +48,38 @@ def test_kernel_sums_match_an_independent_fraction_sum():
     sig6 = _m2a(Fraction(1, 3888))
     alternating = _m2a(Fraction(-1, 675))
     d4 = catalog_get("log2-eq9").motive
-    cases = [(m, rs.motive_denominator(m)) for m in (sig6, alternating, d4)]
-    cases.append((sig6, rs.motive_denominator(sig6) * Fraction(5, 6)))
     n_terms, bits = 25, 800
-    for motive, denom in cases:
+
+    def want(motive, i, denom):
+        return sum((Fraction(n ** i) / denom(n) * motive.rho ** n
+                    * motive.value(n) for n in range(1, n_terms + 1)),
+                   Fraction(0))
+
+    for motive in (sig6, alternating, d4):
+        denom = denominator_basis(motive, 1)
         for i in range(4):
-            want = sum((Fraction(n ** i) / denom(n) * motive.rho ** n
-                        * motive.value(n) for n in range(1, n_terms + 1)),
-                       Fraction(0))
-            got = rs.partial_sum_si(motive, denom, i, n_terms, bits)
-            assert got == FixedReal.from_rational(want, bits), (motive, i)
+            got = rs.partial_sum_si(motive, i, n_terms, bits)
+            assert got == FixedReal.from_rational(want(motive, i, denom),
+                                                  bits), (motive, i)
+    # a non-integer lambda, which only the compiled scale carries
+    for i in range(4):
+        spec = SeriesSpec(sig6, IntPoly([0] * i + [1]), Fraction(5, 6),
+                          1, 1, f"s_{i}")
+        node = binsplit.split_range(spec, 1, n_terms + 1)
+        assert binsplit.node_sum(spec, node) == \
+            want(sig6, i, spec.denominator_poly), i
 
 
 def test_partial_sum_rejects_bad_arguments():
     motive = _m2a(Fraction(1, 243))
-    r_poly = rs.motive_denominator(motive)
     with pytest.raises(ValueError):
-        rs.partial_sum_si(motive, r_poly, -1, 10, 256)
+        rs.partial_sum_si(motive, -1, 10, 256)
     with pytest.raises(ValueError):
-        rs.partial_sum_si(motive, r_poly, 0, 0, 256)
-    withzero = IntPoly([0, -5, 1])  # vanishes at n=5
-    with pytest.raises(ValueError, match="n=5"):
-        rs.partial_sum_si(motive, withzero, 0, 10, 256)
+        rs.partial_sum_si(motive, 0, 0, 256)
 
 
 def test_motive_denominator_clears_fractions():
-    assert rs.motive_denominator(_m2a()) == IntPoly([0, -1, 2])  # n(2n-1)
+    assert denominator_basis(_m2a(), 1) == IntPoly([0, -1, 2])  # n(2n-1)
 
 
 # ----------------------------------------------------------------------
@@ -100,11 +103,10 @@ def test_lindep_doubled_logarithm():
 
 def test_lindep_finds_the_log3_relation():
     motive = _m2a(Fraction(1, 243))
-    r_poly = rs.motive_denominator(motive)
     bits = 333  # about 100 working digits
     values = [_log_fixed(3, 110, bits),
-              rs.partial_sum_si(motive, r_poly, 1, 120, bits),
-              rs.partial_sum_si(motive, r_poly, 0, 120, bits)]
+              rs.partial_sum_si(motive, 1, 120, bits),
+              rs.partial_sum_si(motive, 0, 120, bits)]
     got = rs.lindep(values, 64)
     assert got in ([-1, 88, -14], [1, -88, 14])
 
@@ -222,9 +224,9 @@ def test_search_rediscovers_a_degree6_series():
 
 
 def test_search_with_unreachable_rho_bound_is_empty():
+    # the only lattice rate is 2^0 = 1, at or above RHO_BOUND
     target = _log_fixed(3, 200, 660)
-    strategy = rs.LatticeStrategy(primes=(3,), exponent_bounds=((-8, 0),),
-                                  rho_bound=Fraction(1, 10 ** 6))
+    strategy = rs.LatticeStrategy(primes=(2,), exponent_bounds=((0, 0),))
     assert rs.search(_m2a(), target, 1, strategy) == []
 
 
@@ -272,9 +274,6 @@ def test_strategy_validation():
         rs.LatticeStrategy(primes=(2, 3), exponent_bounds=((-1, 0),))
     with pytest.raises(ValueError, match="min <= max"):
         rs.LatticeStrategy(primes=(2,), exponent_bounds=((0, -1),))
-    with pytest.raises(ValueError, match="rho_bound"):
-        rs.LatticeStrategy(primes=(2,), exponent_bounds=((-1, 0),),
-                           rho_bound=Fraction(3, 2))
 
 
 def test_candidate_validation(log3_search):

@@ -7,7 +7,7 @@ import pytest
 from logseries import betaproof as bp
 from logseries import machin
 from logseries import seriesdef as sd
-from logseries.exactnum import GaussianRational, IntPoly
+from logseries.exactnum import GaussianRational
 
 
 def test_motive_validation():
@@ -22,23 +22,32 @@ def test_motive_validation():
         sd.Motive((Fraction(1), Fraction(1, 2)), (Fraction(1, 6),), Fraction(1, 10))
 
 
-def test_series_spec_validation():
+# r(n) of every catalog row, as `catalog` prints it
+CATALOG_DENOMINATORS = {
+    "log2-eq8": [0, -2, 4],
+    "log3-eq8a": [0, -1, 2],
+    "log5-eq8b": [0, 1, -2],
+    "log2-eq9": [0, -10, 92, -216, 144],
+    "log2-eq11": [0, -12, 88, -192, 128],
+    "log2-eq13": [0, -6, 39, -81, 54],
+    "log3-eq15a": [0, -5, 46, -108, 72],
+    "log2-eq18": [0, -15, 218, -1140, 2680, -2880, 1152],
+    "log7-tableI": [0, -1, 2],
+    "log10-tableI": [0, -1, 2],
+}
+
+
+def test_series_spec_derives_its_denominator():
     good = sd.catalog_get("log2-eq8")
-    with pytest.raises(ValueError):
-        sd.SeriesSpec(good.motive, good.numerator_poly,
-                      IntPoly([0, -1, 2]),  # root at n=0 but start 0
-                      Fraction(1), 0, "bad")
-    with pytest.raises(ValueError):
-        sd.SeriesSpec(good.motive, good.numerator_poly,
-                      IntPoly([1, 1, 1, 1]),  # degree 3 != d=2
+    with pytest.raises(ValueError, match="nonzero"):
+        sd.SeriesSpec(good.motive, good.numerator_poly, Fraction(0),
                       Fraction(1), 1, "bad")
-
-
-def test_series_spec_rejects_a_denominator_outside_both_forms():
-    good = sd.catalog_get("log3-eq8a")
-    with pytest.raises(ValueError, match=r"constant times n \* \(2n-1\)"):
-        sd.SeriesSpec(good.motive, good.numerator_poly, IntPoly([1, 1, 1]),
-                      Fraction(1), 1, "bad")
+    for label, want in CATALOG_DENOMINATORS.items():
+        got = sd.catalog_get(label).denominator_poly.coefficients
+        assert list(got) == want, label
+    for spec in (sd.level1_series(2), sd.level2_series(2),
+                 sd.d4_family(Fraction(5, 2)), sd.d6_family(3)):
+        assert spec.denominator_poly == sd.denominator_basis(spec.motive, 0)
 
 
 PRINTED_COSTS = {
@@ -62,7 +71,7 @@ def test_costs_match_printed_values():
 def test_cost_invariant_under_numerator_scaling():
     spec = sd.catalog_get("log3-eq8a")
     scaled = sd.SeriesSpec(spec.motive, spec.numerator_poly * 7,
-                           spec.denominator_poly, spec.normalizer,
+                           spec.denominator_scale, spec.normalizer,
                            spec.start_index, "scaled")
     assert sd.binary_splitting_cost(spec) == sd.binary_splitting_cost(scaled)
 
@@ -71,7 +80,7 @@ def test_cost_rejects_divergent():
     spec = sd.catalog_get("log2-eq8")
     divergent = sd.SeriesSpec(
         sd.Motive(spec.motive.num_params, spec.motive.den_params, Fraction(1)),
-        spec.numerator_poly, spec.denominator_poly, Fraction(1), 1, "divergent")
+        spec.numerator_poly, spec.denominator_scale, Fraction(1), 1, "divergent")
     with pytest.raises(ValueError):
         sd.binary_splitting_cost(divergent)
     with pytest.raises(ValueError):
@@ -106,7 +115,6 @@ def test_catalog_lookup_and_structure():
         spec = sd.catalog_get(label)
         assert spec.label == label
         assert spec.denominator_poly.degree() == spec.motive.d
-        assert not spec.denominator_poly.integer_roots_at_or_above(spec.start_index)
 
 
 def test_catalog_reference_rows():
