@@ -248,6 +248,8 @@ def scan_range(p_lo, p_hi):
     and once the scan is done UndecidedScan carries the hits and every
     such p.
     """
+    if p_lo > p_hi:
+        raise ValueError(f"scan range [{p_lo}, {p_hi}] needs p_lo <= p_hi")
     if not 2 <= p_lo <= p_hi <= SCAN_LIMIT:
         raise ValueError(f"scan range must sit inside [2, {SCAN_LIMIT}]")
     hits, undecided = [], []

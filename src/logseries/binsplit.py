@@ -2,20 +2,23 @@
 
 The series is compiled once into integer-only per-term factors: motive
 parameter denominators, rho's fraction and the numerator polynomial's
-coefficient denominators are cleared up front. Every series divides
-term n by its stored constant lambda times the linear factors of x(n)
-(start 1) or of y(n+1) (start 0), the cleared numerator and
-denominator of the motive's term ratio (see seriesdef). That division
-cancels the last factor of the P or Q product, and the constant moves
-into one compiled rational `scale`. A term range then folds into a 3-integer node
-(P, Q, T) whose merge costs four products, and the partial sum over the
-range is scale * T/Q (Haible & Papanikolaou's P, Q, T recurrence).
-`evaluate` builds leaves of up to INT_LEAF_TERMS terms in int and does
-every merge above them, and the floor of |n*T|*10^k / |d*Q| with n/d
-the scale, as exact integer arithmetic in libmpdec (`decimal`), whose
-number-theoretic-transform multiply and Newton division outrun int's
-at these sizes. No step rounds: the decimal context traps any inexact
-result.
+coefficient denominators are cleared up front. The constants x_const
+and y_const that clearing puts into every factor of P and of Q are
+divided by their gcd, since only their ratio enters the sum. Every
+series divides term n by its stored constant lambda times the linear
+factors of x(n) (start 1) or of y(n+1) (start 0), the cleared numerator
+and denominator of the motive's term ratio (see seriesdef). That
+division cancels the last factor of the P or Q product, and the
+reduced constant moves into one compiled rational `scale`. A term range
+then folds into a 3-integer node (P, Q, T) whose merge costs four
+products, and the partial sum over the range is scale * T/Q (Haible &
+Papanikolaou's P, Q, T recurrence). A leaf of up to LEAF_TERMS terms is
+folded term by term in one loop over ints. `evaluate` builds subtrees
+of up to INT_LEAF_TERMS terms in int and does every merge above them,
+and the floor of |n*T|*10^k / |d*Q| with n/d the scale, as exact
+integer arithmetic in libmpdec (`decimal`), whose number-theoretic-
+transform multiply and Newton division outrun int's at these sizes. No
+step rounds: the decimal context traps any inexact result.
 """
 
 from __future__ import annotations
@@ -28,8 +31,11 @@ from functools import lru_cache
 
 from .seriesdef import CATALOG_TARGETS, SeriesSpec, estimate_terms
 
-LEAF_TERMS = 8
-# Terms per leaf built in int under evaluate's decimal upper tree. int
+# Terms folded in one flat loop before the tree starts merging nodes.
+# At 10^5 digits (log2-eq8, log2-eq9, log10-tableI) 16 built the int
+# subtrees fastest; 8 took 4 to 11 % longer and 32 about the same.
+LEAF_TERMS = 16
+# Terms per subtree built in int under evaluate's decimal upper tree. int
 # multiplies small operands faster than libmpdec; 128 to 1024 terms time
 # alike at 10^5 digits.
 INT_LEAF_TERMS = 512
@@ -107,13 +113,18 @@ class _Compiled:
                          for r in spec.motive.num_params)
         self.bot = tuple((q.denominator, q.numerator - q.denominator)
                          for q in spec.motive.den_params)
-        self.x_const = rho.numerator * math.prod(
+        x_const = rho.numerator * math.prod(
             q.denominator for q in spec.motive.den_params)
-        self.y_const = rho.denominator * math.prod(
+        y_const = rho.denominator * math.prod(
             r.denominator for r in spec.motive.num_params)
+        # only the ratio x/y enters the sum, so a common factor of the
+        # two constants would only lengthen every P and Q product
+        g = math.gcd(x_const, y_const)
+        self.x_const, self.y_const = x_const // g, y_const // g
         self.shift = 1 - spec.start_index
         # r(n) is lambda * x(n)/x_const (start 1) or lambda * y(n+1)/y_const
-        # (start 0): its division cancels the last factor of P or Q
+        # (start 0), with the reduced constants: its division cancels the
+        # last factor of P or Q, and scale folds the reduced constant
         folded = self.x_const if spec.start_index == 1 else self.y_const
         self.scale = (spec.normalizer * folded
                       / (spec.denominator_scale * l_num))
@@ -123,22 +134,6 @@ class _Compiled:
         mag = max(1, max(abs(c) for c in self.num_coeffs))
         mag *= max(1, abs((spec.normalizer / l_num).numerator))
         self.coeff_digits = len(str(mag))
-
-    def _poly(self, coeffs, n):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * n + c
-        return acc
-
-    def unit(self, n):
-        # (x(k), y(k), a(n)) at k = n + shift
-        k = n + self.shift
-        x, y = self.x_const, self.y_const
-        for b, shift in self.top:
-            x *= b * k + shift
-        for b, shift in self.bot:
-            y *= b * k + shift
-        return SplitNode(x, y, self._poly(self.num_coeffs, n))
 
 
 @lru_cache(maxsize=64)
@@ -150,12 +145,30 @@ def _compiled(spec: SeriesSpec) -> _Compiled:
 #  Range evaluation
 # ----------------------------------------------------------------------
 
+def _leaf(comp: _Compiled, lo: int, hi: int) -> SplitNode:
+    """Node for [lo, hi) folded term by term in one loop over ints."""
+    xc, yc, top, bot = comp.x_const, comp.y_const, comp.top, comp.bot
+    coeffs = comp.num_coeffs[::-1]
+    p, q, t = 1, 1, 0
+    for n in range(lo, hi):
+        k = n + comp.shift
+        x, y = xc, yc
+        for b, shift in top:
+            x *= b * k + shift
+        for b, shift in bot:
+            y *= b * k + shift
+        a = 0
+        for c in coeffs:
+            a = a * n + c
+        t = t * y + p * a
+        p *= x
+        q *= y
+    return SplitNode(p, q, t)
+
+
 def _range_node(comp: _Compiled, lo: int, hi: int) -> SplitNode:
     if hi - lo <= LEAF_TERMS:
-        node = comp.unit(lo)
-        for k in range(lo + 1, hi):
-            node = node.merge(comp.unit(k))
-        return node
+        return _leaf(comp, lo, hi)
     mid = (lo + hi) // 2
     return _range_node(comp, lo, mid).merge(_range_node(comp, mid, hi))
 

@@ -256,11 +256,12 @@ def test_scan_hits_reproduce_log_p():
 
 
 def test_scan_range_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"inside \[2, 133\]"):
         alt.scan_range(1, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"inside \[2, 133\]"):
         alt.scan_range(5, 200)
-    with pytest.raises(ValueError):
+    # reversed bounds inside [2, 133] are not outside it
+    with pytest.raises(ValueError, match=r"^scan range \[9, 6\] needs p_lo <= p_hi$"):
         alt.scan_range(9, 6)
 
 

@@ -1,4 +1,5 @@
 import decimal
+import math
 import random
 from fractions import Fraction
 
@@ -61,6 +62,28 @@ def test_split_matches_naive_rational_sum():
         node = bs.split_range(spec, lo, lo + n)
         naive = sum((spec.term(k) for k in range(lo, lo + n)), Fraction(0))
         assert bs.node_sum(spec, node) == naive, spec.label
+
+
+def test_leaves_match_naive_rational_sum():
+    # one term, one whole leaf, a leaf plus one term, and three leaves
+    # with an uneven remainder
+    specs = [sd.catalog_get(label) for label in sd.catalog_labels()]
+    specs += [sd.level1_series(Fraction(8, 7)), sd.d4_family(Fraction(5, 2)),
+              sd.d6_family(3), sd.level2_series(Fraction(1, 2)),
+              sd.level2_series(3)]
+    sizes = (1, bs.LEAF_TERMS, bs.LEAF_TERMS + 1, 3 * bs.LEAF_TERMS + 5)
+    for spec in specs:
+        lo = spec.start_index
+        for n in sizes:
+            node = bs.split_range(spec, lo, lo + n)
+            naive = sum((spec.term(k) for k in range(lo, lo + n)), Fraction(0))
+            assert bs.node_sum(spec, node) == naive, (spec.label, n)
+
+
+def test_compiled_constants_are_coprime():
+    for label in sd.catalog_labels():
+        comp = bs._compiled(sd.catalog_get(label))
+        assert math.gcd(comp.x_const, comp.y_const) == 1, label
 
 
 def test_split_range_rejects_bad_range():

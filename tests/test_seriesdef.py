@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from logseries import betaproof as bp
@@ -105,6 +108,79 @@ def test_estimate_terms_is_tight():
         assert rho ** n <= Fraction(1, 10 ** (d + 10))
         if n > 1:
             assert rho ** (n - 1) > Fraction(1, 10 ** (d + 10))
+
+
+def _exact_power_terms(rho, digits):
+    """Smallest N with |rho|^N <= 10^-(digits+10), by exact powers alone:
+    the reference the float term count must reproduce."""
+    s = digits + 10
+    num, den = abs(rho.numerator), rho.denominator
+    n = max(1, int(s * math.log(10) / (math.log(den) - math.log(num))) - 2)
+    while num ** n * 10 ** s > den ** n:
+        n += 1
+    while n > 1 and num ** (n - 1) * 10 ** s <= den ** (n - 1):
+        n -= 1
+    return n
+
+
+def test_estimate_terms_matches_exact_powers_on_catalog():
+    for label in sd.catalog_labels():
+        spec = sd.catalog_get(label)
+        for digits in (1, 60, 1000, 100_000):
+            assert sd.estimate_terms(spec, digits) == \
+                _exact_power_terms(spec.motive.rho, digits), (label, digits)
+
+
+def test_estimate_terms_matches_exact_powers_on_families():
+    members = [sd.level1_series(Fraction(8, 7)), sd.level2_series(Fraction(1, 2)),
+               sd.level2_series(3), sd.d4_family(Fraction(5, 2)),
+               sd.d6_family(3), sd.d6_family(17)]
+    row = sd.d2_params(5)
+    members.append(sd.d2_series_from_abc(row.a, row.b, row.c, row.rho, "abc-5"))
+    for spec in members:
+        for start in (0, 1):
+            member = dataclasses.replace(spec, start_index=start)
+            for digits in (1, 60, 1000):
+                assert sd.estimate_terms(member, digits) == \
+                    _exact_power_terms(spec.motive.rho, digits), \
+                    (spec.label, start, digits)
+
+
+def test_estimate_terms_decides_exact_ties_by_powers(monkeypatch):
+    # rho = 10^-k with k dividing digits + 10 puts the float count on an
+    # integer: only the exact fallback may decide it
+    fallbacks = []
+    real = sd._exact_terms
+    monkeypatch.setattr(sd, "_exact_terms",
+                        lambda *args: fallbacks.append(args) or real(*args))
+    base = sd.catalog_get("log2-eq8")
+    ties = 0
+    for digits in range(1, 201):
+        s = digits + 10
+        for k in range(1, s + 1):
+            if s % k == 0:
+                rho = Fraction(1, 10 ** k)
+                spec = dataclasses.replace(base, motive=sd.Motive(
+                    base.motive.num_params, base.motive.den_params, rho))
+                got = sd.estimate_terms(spec, digits)
+                assert got == _exact_power_terms(rho, digits) == s // k
+                ties += 1
+    assert len(fallbacks) == ties
+
+
+def test_estimate_terms_needs_no_exact_power_at_a_million_digits(monkeypatch):
+    def no_powers(*args):
+        raise AssertionError("near-tie fallback taken")
+    monkeypatch.setattr(sd, "_exact_terms", no_powers)
+    spec = sd.catalog_get("log2-eq8")
+    digits = 10 ** 6
+    n = sd.estimate_terms(spec, digits)
+    with mpmath.workdps(50):
+        rho = abs(spec.motive.rho)
+        t = (digits + 10) * mpmath.log(10) / mpmath.log(
+            mpmath.mpf(rho.denominator) / rho.numerator)
+        assert n == int(mpmath.ceil(t))
+        assert min(t - mpmath.floor(t), mpmath.ceil(t) - t) > sd.TERMS_MARGIN * t
 
 
 def test_catalog_lookup_and_structure():
