@@ -13,12 +13,19 @@ reduced constant moves into one compiled rational `scale`. A term range
 then folds into a 3-integer node (P, Q, T) whose merge costs four
 products, and the partial sum over the range is scale * T/Q (Haible &
 Papanikolaou's P, Q, T recurrence). A leaf of up to LEAF_TERMS terms is
-folded term by term in one loop over ints. `evaluate` builds subtrees
-of up to INT_LEAF_TERMS terms in int and does every merge above them,
-and the floor of |n*T|*10^k / |d*Q| with n/d the scale, as exact
-integer arithmetic in libmpdec (`decimal`), whose number-theoretic-
-transform multiply and Newton division outrun int's at these sizes. No
-step rounds: the decimal context traps any inexact result.
+folded term by term in one loop over ints. A merge of int nodes over
+at most INT_LEAF_TERMS terms first removes the common factor g of the
+left P and the right Q, which share most of their small primes since
+P is factorial-like: P = (Pl/g)*Pr, Q = Ql*(Qr/g) and
+T = Tl*(Qr/g) + (Pl/g)*Tr keep P/Q and T/Q and shorten every product
+above. Larger merges keep the plain products, because gcd's time grows
+with the square of the length. `evaluate` builds subtrees of up to
+INT_LEAF_TERMS terms in int and does every merge above them, and the
+floor of |n*T|*10^k / |d*Q| with n/d the scale, as exact integer
+arithmetic in libmpdec (`decimal`), whose number-theoretic-transform
+multiply and Newton division outrun int's at these sizes; an exact
+division there costs several multiplies, so that tree removes nothing.
+No step rounds: the decimal context traps any inexact result.
 """
 
 from __future__ import annotations
@@ -35,10 +42,15 @@ from .seriesdef import CATALOG_TARGETS, SeriesSpec, estimate_terms
 # At 10^5 digits (log2-eq8, log2-eq9, log10-tableI) 16 built the int
 # subtrees fastest; 8 took 4 to 11 % longer and 32 about the same.
 LEAF_TERMS = 16
-# Terms per subtree built in int under evaluate's decimal upper tree. int
-# multiplies small operands faster than libmpdec; 128 to 1024 terms time
-# alike at 10^5 digits.
-INT_LEAF_TERMS = 512
+# Terms per subtree built in int, with common factors removed, under
+# evaluate's decimal upper tree. Larger subtrees remove more, but gcd
+# time grows with the square of the operands. Interleaved medians (2
+# vCPUs, CPython 3.11) at 512, 1024, 2048 and 4096 terms: `compute
+# --digits 100000 --series log2-eq8 --verify log2-eq9` took
+# 0.75/0.67/0.70/0.78 s; the 76 family members at 60 digits
+# 0.76/0.76/0.80/0.86 s; log2-eq8, log2-eq9 and log10-tableI at 10^6
+# digits 28.4/25.8/24.7/23.9 s together.
+INT_LEAF_TERMS = 1024
 # Decimal(int) takes time quadratic in the length of the int; above this
 # many bits _to_decimal halves it at a power of two instead.
 CONVERT_BITS = 2048
@@ -66,6 +78,11 @@ class SplitNode:
     P: product of cleared motive-ratio numerators x(k + s)
     Q: product of cleared motive-ratio denominators y(k + s)
     T: weighted sum such that sum over the range = scale * T / Q
+
+    Int merges over at most INT_LEAF_TERMS terms divide the common
+    factors of P and Q out, so P and Q are these products less the
+    removed factors, and the triple depends on the shape of the tree.
+    Only P/Q and T/Q are fixed by the range.
     """
 
     P: int
@@ -82,7 +99,7 @@ class SplitNode:
     @property
     def B(self) -> int:
         # Only the benchmark's split-tree probe reads this, from the time
-        # nodes carried a denominator product; ROADMAP item 5 deletes it.
+        # nodes carried a denominator product; ROADMAP item 6 deletes it.
         return 1
 
 
@@ -170,7 +187,12 @@ def _range_node(comp: _Compiled, lo: int, hi: int) -> SplitNode:
     if hi - lo <= LEAF_TERMS:
         return _leaf(comp, lo, hi)
     mid = (lo + hi) // 2
-    return _range_node(comp, lo, mid).merge(_range_node(comp, mid, hi))
+    left, right = _range_node(comp, lo, mid), _range_node(comp, mid, hi)
+    if hi - lo > INT_LEAF_TERMS:
+        return left.merge(right)
+    g = math.gcd(left.P, right.Q)
+    pl, qr = left.P // g, right.Q // g
+    return SplitNode(pl * right.P, left.Q * qr, left.T * qr + pl * right.T)
 
 
 @lru_cache(maxsize=64)

@@ -70,11 +70,19 @@ def _cmd_compute(args):
     spec = seriesdef.catalog_get(label)
     if args.p is not None and seriesdef.CATALOG_TARGETS.get(label) != args.p:
         raise UsageError(f"series {label} does not compute log({args.p})")
+    if args.verify:
+        other = seriesdef.catalog_get(args.verify)
+        if args.verify == label:
+            raise UsageError(f"--verify {label} names the series being "
+                             f"computed; a check needs a second series")
+        target = seriesdef.CATALOG_TARGETS[label]
+        if seriesdef.CATALOG_TARGETS[args.verify] != target:
+            raise UsageError(f"series {args.verify} does not compute "
+                             f"log({target})")
 
     result = binsplit.evaluate(spec, args.digits)
     lines = [binsplit.render_digit_rows(result)]
     if args.verify:
-        other = seriesdef.catalog_get(args.verify)
         agreed = binsplit.cross_verify(spec, other, args.digits, result)
         lines.append(f"# verified against {args.verify}: "
                      f"first {agreed} digits agree")

@@ -29,6 +29,13 @@ def test_digits_result_fields():
     assert set(r.decimal_digits) <= set("0123456789.")
 
 
+def meaning(node):
+    """What a node stands for: its product ratio P/Q and its sum T/Q.
+    Common-factor removal changes the triple with the shape of the tree,
+    never these two."""
+    return Fraction(node.P, node.Q), Fraction(node.T, node.Q)
+
+
 def test_merge_identity_and_associativity():
     spec = sd.catalog_get("log3-eq8a")
     rng = random.Random(31)
@@ -38,14 +45,18 @@ def test_merge_identity_and_associativity():
         b = m + rng.randint(1, 15)
         left = bs.split_range(spec, a, m)
         right = bs.split_range(spec, m, b)
-        assert left.merge(right) == bs.split_range(spec, a, b)
+        whole = bs.split_range(spec, a, b)
+        assert meaning(left.merge(right)) == meaning(whole)
+        if b - a <= bs.LEAF_TERMS:
+            # one flat leaf removes nothing: the triples agree exactly
+            assert left.merge(right) == whole
     for _ in range(10):
         a = rng.randint(1, 30)
         cuts = sorted(rng.sample(range(a + 1, a + 40), 2))
         n1 = bs.split_range(spec, a, cuts[0])
         n2 = bs.split_range(spec, cuts[0], cuts[1])
         n3 = bs.split_range(spec, cuts[1], cuts[1] + 5)
-        assert n1.merge(n2).merge(n3) == n1.merge(n2.merge(n3))
+        assert meaning(n1.merge(n2).merge(n3)) == meaning(n1.merge(n2.merge(n3)))
 
 
 def test_split_matches_naive_rational_sum():
@@ -64,20 +75,58 @@ def test_split_matches_naive_rational_sum():
         assert bs.node_sum(spec, node) == naive, spec.label
 
 
-def test_leaves_match_naive_rational_sum():
-    # one term, one whole leaf, a leaf plus one term, and three leaves
-    # with an uneven remainder
+def naive_partial_sums(spec, sizes):
+    """Exact sum of the first n terms for each n in `sizes`, by Fractions,
+    with rho^n M(n) stepped term by term from the motive's parameters."""
+    motive, poly, den = spec.motive, spec.numerator_poly, spec.denominator_poly
+    lo = spec.start_index
+    h = motive.rho ** lo * motive.value(lo)
+    acc, sums = Fraction(0), {}
+    for n in range(lo, lo + max(sizes)):
+        acc += spec.normalizer * poly(n) / den(n) * h
+        if n + 1 - lo in sizes:
+            sums[n + 1 - lo] = acc
+        h *= motive.rho * (math.prod(n + r for r in motive.num_params)
+                           / math.prod(n + q for q in motive.den_params))
+    return sums
+
+
+def check_partial_sums(spec, sizes):
+    lo = spec.start_index
+    naive = naive_partial_sums(spec, sizes)
+    for n in sizes:
+        node = bs.split_range(spec, lo, lo + n)
+        assert bs.node_sum(spec, node) == naive[n], (spec.label, n)
+
+
+def test_leaves_match_naive_rational_sum(monkeypatch):
+    # one term, a flat leaf and its neighbours, three leaves with an
+    # uneven remainder, and both sides of a common-factor removal
+    # boundary; rho > 0, rho < 0 and rho = 0 (x = 1 members: P = 0 and
+    # gcd(0, Q) = |Q|), at start 1 and start 0
     specs = [sd.catalog_get(label) for label in sd.catalog_labels()]
     specs += [sd.level1_series(Fraction(8, 7)), sd.d4_family(Fraction(5, 2)),
               sd.d6_family(3), sd.level2_series(Fraction(1, 2)),
               sd.level2_series(3)]
-    sizes = (1, bs.LEAF_TERMS, bs.LEAF_TERMS + 1, 3 * bs.LEAF_TERMS + 5)
-    for spec in specs:
-        lo = spec.start_index
-        for n in sizes:
-            node = bs.split_range(spec, lo, lo + n)
-            naive = sum((spec.term(k) for k in range(lo, lo + n)), Fraction(0))
-            assert bs.node_sum(spec, node) == naive, (spec.label, n)
+    specs += [sd.level1_series(1), sd.d4_family(1), sd.d6_family(1),
+              sd.level2_series(1)]
+    leaf = bs.LEAF_TERMS
+    sizes = (1, leaf - 1, leaf, leaf + 1, 3 * leaf + 5, 511, 512, 513)
+    with monkeypatch.context() as m:
+        m.setattr(bs, "INT_LEAF_TERMS", 512)
+        for spec in specs:
+            check_partial_sums(spec, sizes)
+    top = bs.INT_LEAF_TERMS
+    check_partial_sums(sd.level2_series(3), (top - 1, top, top + 1))
+
+
+def test_common_factor_removal_shortens_q():
+    spec = sd.catalog_get("log2-eq8")
+    # one flat leaf over the range keeps Q = prod y(k) whole
+    full = bs._leaf(bs._compiled(spec), 1, 513).Q
+    reduced = bs.split_range(spec, 1, 513).Q
+    assert reduced.bit_length() <= 0.7 * full.bit_length()
+    assert full % reduced == 0
 
 
 def test_compiled_constants_are_coprime():

@@ -64,6 +64,36 @@ def test_compute_verify_evaluates_each_series_once(capsys, monkeypatch):
     assert sorted(calls) == ["log2-eq8", "log2-eq9"]
 
 
+def _evaluate_must_not_run(monkeypatch):
+    def refuse(spec, digits):
+        raise AssertionError(f"evaluated {spec.label}")
+    monkeypatch.setattr(binsplit, "evaluate", refuse)
+
+
+def test_compute_verify_label_checked_before_evaluation(capsys, monkeypatch):
+    _evaluate_must_not_run(monkeypatch)
+    code, out, err = invoke(capsys, ["compute", "--digits", "50",
+                                     "--series", "log2-eq8",
+                                     "--verify", "log3-eq8a"])
+    assert (code, out) == (2, "")
+    assert err == "usage error: series log3-eq8a does not compute log(2)\n"
+    code, out, err = invoke(capsys, ["compute", "--p", "2", "--digits", "50",
+                                     "--series", "log2-eq8",
+                                     "--verify", "log2-eq8"])
+    assert (code, out) == (2, "")
+    assert "names the series being computed" in err
+
+
+def test_compute_unknown_verify_label(capsys, monkeypatch):
+    _evaluate_must_not_run(monkeypatch)
+    code, out, err = invoke(capsys, ["compute", "--p", "2", "--digits", "50",
+                                     "--verify", "log2-nope"])
+    unknown_series = cli.run(["compute", "--series", "log2-nope",
+                              "--digits", "50"])
+    assert (code, out) == (unknown_series, "")
+    assert "unknown series label 'log2-nope'" in err
+
+
 def test_compute_zero_digits_is_usage_error(capsys):
     code, _, err = invoke(capsys, ["compute", "--p", "2", "--digits", "0"])
     assert code == 2
