@@ -20,13 +20,9 @@ from math import lcm, prod
 
 import mpmath
 
-from .exactnum import GaussianRational, IntPoly, poly_gcd
-from . import machin, seriesdef
-from .seriesdef import gamma_quotient_lambda, gamma_quotient_motive
-
-
-def _pochhammer(x, n):
-    return prod((x + j for j in range(n)), start=Fraction(1))
+from .exactnum import IntPoly, poly_gcd
+from . import binsplit, machin, seriesdef
+from .seriesdef import estimate_terms, gamma_quotient_lambda, gamma_quotient_motive
 
 
 def _pochhammer_half(count):
@@ -42,12 +38,11 @@ def gamma_quotient_identity_check(m, nu, n_max):
     """Exact rational check that the Pochhammer product equals the
     gamma-quotient form lam^n (nu n)! (1/2)_{m n} / (1/2)_{N n} for all
     n <= n_max."""
-    tops, bots = gamma_quotient_motive(m, nu)
+    motive = seriesdef.Motive(*gamma_quotient_motive(m, nu), 1)
     lam = gamma_quotient_lambda(m, nu)
     n_count = m + nu
     for n in range(n_max + 1):
-        left = prod((_pochhammer(r, n) for r in tops), start=Fraction(1))
-        left /= prod((_pochhammer(q, n) for q in bots), start=Fraction(1))
+        left = motive.value(n)
         right = lam ** n * Fraction(prod(range(1, nu * n + 1), start=1))
         right *= _pochhammer_half(m * n) / _pochhammer_half(n_count * n)
         if left != right:
@@ -296,17 +291,12 @@ def integral_value(pair, digits):
     which the integrand is analytic on [0, 1] and tanh-sinh quadrature
     converges exponentially.
     """
-    u_poly, v_poly = pair.u_poly, pair.v_poly
+    top = [int(c) for c in reversed(pair.u_poly.coefficients)]
+    bottom = [int(c) for c in reversed(pair.v_poly.coefficients)]
     with mpmath.workdps(digits + 10):
         def integrand(t):
             x = 1 - t * t
-            top = mpmath.mpf(0)
-            for c in reversed(u_poly.coefficients):
-                top = top * x + int(c)
-            bottom = mpmath.mpf(0)
-            for c in reversed(v_poly.coefficients):
-                bottom = bottom * x + int(c)
-            return 2 * top / bottom
+            return 2 * mpmath.polyval(top, x) / mpmath.polyval(bottom, x)
 
         value, error = mpmath.quad(integrand, [0, 1], error=True)
         if error > mpmath.mpf(10) ** (-(digits + 2)):
@@ -336,58 +326,54 @@ def integral_check(pair, expected_log_p, digits):
 #  Closed forms
 # ----------------------------------------------------------------------
 
-def _to_working_complex(z):
-    if isinstance(z, GaussianRational):
-        return (mpmath.mpf(z.re.numerator) / z.re.denominator
-                + mpmath.mpc(0, 1) * z.im.numerator / z.im.denominator)
-    return mpmath.mpc(z)
+# The defining series are summed in full only below this many terms;
+# beyond it |rho| is too close to 1 for a sum to finish in reasonable time.
+PHI_TERMS_LIMIT = 200000
+
+# Numerator and start index of the four defining series on the motive
+# rho^n (1/2)_n (1)_n / ((1/6)_n (5/6)_n) with lambda = 1: A sums H(n)/n
+# and D sums H(n)/(2n-1) from n = 1, B sums H(n)/(6n+1) and C sums
+# H(n)/(6n+5) from n = 0.
+_PHI_SERIES = (([-1, 2], 1), ([5, 6], 0), ([1, 6], 0), ([0, 1], 1))
 
 
-def _phi_series(rho, bits):
-    """Direct sums of the four defining series at the given rho."""
-    cut = mpmath.mpf(2) ** (-(bits + 10))
-    limit = int((bits + 30) * 0.6931 / -mpmath.log(abs(rho))) + 50
-    if limit > 200000:
+def _phi_series(rho, digits):
+    """The four defining series at rho, each the exact floor to `digits`
+    places, read at working precision."""
+    motive = seriesdef.Motive(*gamma_quotient_motive(1, 2), rho)
+    specs = [seriesdef.SeriesSpec(motive, IntPoly(coeffs), 1, 1, start,
+                                  f"phi{name}")
+             for (coeffs, start), name in zip(_PHI_SERIES, "ABCD")]
+    if estimate_terms(specs[0], digits) > PHI_TERMS_LIMIT:
         raise ValueError("rho is too close to 1 for the series to converge usefully")
-    one = mpmath.mpf(1)
-    term = one + 0 * rho  # carries the complex type of rho when needed
-    sum_a = 0 * term
-    sum_b = term / 1
-    sum_c = term / 5
-    sum_d = 0 * term
-    for n in range(1, limit + 1):
-        step = rho * (n * (n - one / 2)) / ((n - mpmath.mpf(5) / 6) * (n - one / 6))
-        term = term * step
-        sum_a += term / n
-        sum_b += term / (6 * n + 1)
-        sum_c += term / (6 * n + 5)
-        sum_d += term / (2 * n - 1)
-        if abs(term) < cut:
-            return sum_a, sum_b, sum_c, sum_d
-    raise ValueError("series did not reach the cutoff within the term limit")
+    return [mpmath.mpf(binsplit.evaluate(spec, digits).decimal_digits)
+            for spec in specs]
 
 
-def phi_closed_forms(z, bits):
-    """The four closed forms at z, each validated against its series.
+def phi_closed_forms(z_squared, bits):
+    """The four closed forms at the point z with z^2 = z_squared, a
+    rational, each validated against its series.
 
-    Square roots and logarithms use principal branches. The inner
-    logarithm is only defined up to 2 pi i, and for some z the principal
-    value lands one wrap away from the branch the identities need (real
-    z between 1 and sqrt(2), for instance); the defining series fix the
-    branch unambiguously, so the wrap is chosen to match the first
-    series and then every returned value is checked to 2^-bits against
-    its own series, so a wrong branch cannot escape.
+    z is the principal square root of z_squared, and the rate of the
+    series, 4/(27 z^2 (1-z^2)^2), is exact. Square roots and logarithms
+    use principal branches. The inner logarithm is only defined up to
+    2 pi i, and for some z the principal value lands one wrap away from
+    the branch the identities need (real z between 1 and sqrt(2), for
+    instance); the defining series fix the branch unambiguously, so the
+    wrap is chosen to match the first series and then every returned
+    value is checked to 2^-bits against its own series, so a wrong
+    branch cannot escape.
     """
+    z_squared = Fraction(z_squared)
+    if z_squared in (0, 1, Fraction(1, 3)):
+        raise ValueError("z^2 is at a pole of the closed forms")
+    rho = Fraction(4) / (27 * z_squared * (1 - z_squared) ** 2)
+    if abs(rho) >= 1:
+        raise ValueError("the defining series diverge for this z")
     with mpmath.workdps(int(bits * 0.30103) + 15):
-        zz = _to_working_complex(z)
-        z2 = zz * zz
-        tiny = mpmath.mpf(2) ** -16
-        if abs(zz) < tiny or abs(z2 - 1) < tiny or abs(3 * z2 - 1) < tiny:
-            raise ValueError("z is at or near a pole of the closed forms")
-        rho = mpmath.mpf(4) / 27 / (z2 * (1 - z2) ** 2)
-        if abs(rho) >= 1:
-            raise ValueError("the defining series diverge for this z")
-        series = _phi_series(rho, bits)
+        series = _phi_series(rho, mpmath.mp.dps)
+        z2 = mpmath.mpc(z_squared.numerator) / z_squared.denominator
+        zz = mpmath.sqrt(z2)
         allowed = mpmath.mpf(2) ** -bits
         inverse = mpmath.atanh(1 / zz)
         root = mpmath.sqrt(3 * z2 - 4)
@@ -419,52 +405,16 @@ def phi_closed_forms(z, bits):
         return closed
 
 
-def z_from_rho(rho):
-    """The z whose closed forms use this rho: for rho > 0 the real root
-    above 1 of z(z^2-1) = (2/3)sqrt(1/(3 rho)), for rho < 0 the purely
-    imaginary z = iy with y(1+y^2) = (2/3)sqrt(-1/(3 rho)).
-
-    Gaussian-rational roots are detected and returned exactly; otherwise
-    an 80-digit numeric value is returned.
-    """
-    rho = Fraction(rho)
-    if rho == 0 or abs(rho) > Fraction(4, 27):
-        raise ValueError("need 0 < |rho| <= 4/27 for an admissible root")
-    with mpmath.workdps(80):
-        scale = abs(rho)
-        target = (mpmath.mpf(2) / 3
-                  / mpmath.sqrt(3 * mpmath.mpf(scale.numerator) / scale.denominator))
-        if rho > 0:
-            cubic = lambda t: t ** 3 - t - target
-            low, high = mpmath.mpf(1), mpmath.cbrt(target) + 2
-        else:
-            cubic = lambda t: t ** 3 + t - target
-            low, high = mpmath.mpf(0), mpmath.cbrt(target) + 2
-        root = mpmath.findroot(cubic, (low, high), solver="anderson")
-        candidate = Fraction(mpmath.nstr(root, 40)).limit_denominator(10 ** 9)
-        if rho > 0:
-            if rho * candidate ** 2 * (1 - candidate ** 2) ** 2 == Fraction(4, 27):
-                return GaussianRational(candidate)
-            return mpmath.mpc(root, 0)
-        if -rho * candidate ** 2 * (1 + candidate ** 2) ** 2 == Fraction(4, 27):
-            return GaussianRational(0, candidate)
-        return mpmath.mpc(0, root)
-
-
 def log_from_closed_forms(p, bits=160):
     """log p assembled from the B/C closed-form combination of its
     degree-2 table row; complex arithmetic, returned as an mpmath value
     whose imaginary part is a branch-selection residual near zero.
 
-    The algebraic point comes from the stored table entry when exact and
-    from the rate equation otherwise (p=10, where it is an imaginary
-    quadratic irrational).
+    The algebraic point is the principal square root of the row's exact
+    rational z^2; it is imaginary for p = 5 and p = 10.
     """
     row = seriesdef.d2_params(p)
-    z = row.z if row.z is not None else z_from_rho(row.rho)
-    if isinstance(z, Fraction):
-        z = GaussianRational(z)
-    _, phi_b, phi_c, _ = phi_closed_forms(z, bits)
+    _, phi_b, phi_c, _ = phi_closed_forms(row.z_squared, bits)
     with mpmath.workprec(bits + 16):
         return (Fraction(6 * row.b - row.a, 24 * row.c) * phi_b
                 + Fraction(5 * row.a - 6 * row.b, 24 * row.c) * phi_c)

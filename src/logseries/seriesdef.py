@@ -29,11 +29,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Tuple
 
 import mpmath
 
-from .exactnum import FixedReal, GaussianRational, IntPoly
+from .exactnum import FixedReal, IntPoly
 
 
 def _mpf_to_fraction(x):
@@ -127,8 +127,9 @@ class D2Params:
 
     The `alpha` form sums (alpha*n+beta)/(n(2n-1)) from n=1 with weight
     1/gamma; the `a` form sums (a*n+b)/((6n+1)(6n+5)) from n=0 with
-    weight 1/c. `z` is the exact algebraic point when it lies in Q or
-    Q(i); z*z is always rational and is what the rate formula needs.
+    weight 1/c. `z_squared` is the exact square of the algebraic point
+    z of the closed forms: it is rational for every row, and the rate is
+    rho = 4/(27 z^2 (1-z^2)^2).
     """
 
     p: int
@@ -140,7 +141,6 @@ class D2Params:
     c: int
     rho: Fraction
     z_squared: Fraction
-    z: Optional[Union[Fraction, GaussianRational]] = None
 
     def __post_init__(self):
         if d2_convert(self.alpha, self.beta, self.gamma, self.rho) != \
@@ -149,11 +149,6 @@ class D2Params:
         z2 = self.z_squared
         if Fraction(4) / (27 * z2 * (1 - z2) ** 2) != self.rho:
             raise ValueError(f"p={self.p}: rho inconsistent with z^2")
-        if self.z is not None:
-            zz = self.z * self.z
-            zz = zz.re if isinstance(zz, GaussianRational) else Fraction(zz)
-            if zz != z2:
-                raise ValueError(f"p={self.p}: stored z does not square to z^2")
 
 
 def denominator_basis(motive: Motive, start: int) -> IntPoly:
@@ -391,17 +386,15 @@ def d2_convert_inverse(a: int, b: int, c: int, rho) -> Tuple[int, int, int]:
 
 _D2_TABLE = {
     2: dict(alpha=1794, beta=-297, gamma=2, a=598, b=499, c=144,
-            rho=Fraction(1, 3888), z_squared=Fraction(9), z=Fraction(3)),
+            rho=Fraction(1, 3888), z_squared=Fraction(9)),
     3: dict(alpha=88, beta=-14, gamma=1, a=176, b=148, c=27,
-            rho=Fraction(1, 243), z_squared=Fraction(4), z=Fraction(2)),
+            rho=Fraction(1, 243), z_squared=Fraction(4)),
     5: dict(alpha=-364, beta=62, gamma=1, a=728, b=604, c=75,
-            rho=Fraction(-1, 675), z_squared=Fraction(-4),
-            z=GaussianRational(0, 2)),
+            rho=Fraction(-1, 675), z_squared=Fraction(-4)),
     7: dict(alpha=312, beta=-16, gamma=81, a=468, b=444, c=49,
-            rho=Fraction(27, 196), z_squared=Fraction(16, 9),
-            z=Fraction(4, 3)),
+            rho=Fraction(27, 196), z_squared=Fraction(16, 9)),
     10: dict(alpha=-126, beta=23, gamma=2, a=1134, b=927, c=80,
-             rho=Fraction(-1, 80), z_squared=Fraction(-5, 3), z=None),
+             rho=Fraction(-1, 80), z_squared=Fraction(-5, 3)),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from logseries import betaproof as bp
 from logseries import binsplit, machin
 from logseries import seriesdef as sd
-from logseries.exactnum import GaussianRational, IntPoly
+from logseries.exactnum import IntPoly
 
 
 EXAMPLE_COEFFS = (
@@ -198,18 +198,17 @@ def test_integral_of_zero_numerator_is_zero():
     assert bp.integral_value(pair, 30) == 0
 
 
-def _combined_log(p, z, bits=160):
+def _combined_log(p, z_squared, bits=160):
     row = sd.d2_params(p)
-    _, phi_b, phi_c, _ = bp.phi_closed_forms(z, bits)
+    _, phi_b, phi_c, _ = bp.phi_closed_forms(z_squared, bits)
     return (Fraction(6 * row.b - row.a, 24 * row.c) * phi_b
             + Fraction(5 * row.a - 6 * row.b, 24 * row.c) * phi_c)
 
 
 def test_phi_combination_reaches_log_p():
     with mpmath.workdps(60):
-        for p, z in [(2, GaussianRational(3)), (3, GaussianRational(2)),
-                     (7, GaussianRational(Fraction(4, 3)))]:
-            value = _combined_log(p, z)
+        for p, z_squared in [(2, 9), (3, 4), (7, Fraction(16, 9))]:
+            value = _combined_log(p, z_squared)
             want = mpmath.mpf(machin.log_decimal(p, 50)) if p != 7 \
                 else mpmath.log(7)
             assert abs(value - want) < mpmath.mpf(10) ** -40, p
@@ -217,11 +216,10 @@ def test_phi_combination_reaches_log_p():
 
 
 def test_phi_combination_complex_points():
-    # the two rows whose z is imaginary: one exact, one irrational
+    # the two rows whose z is imaginary: z = 2i, and z = i sqrt(5/3)
     with mpmath.workdps(60):
-        for p, z in [(5, GaussianRational(0, 2)),
-                     (10, bp.z_from_rho(Fraction(-1, 80)))]:
-            value = _combined_log(p, z)
+        for p, z_squared in [(5, -4), (10, Fraction(-5, 3))]:
+            value = _combined_log(p, z_squared)
             want = mpmath.mpf(machin.log_decimal(p, 50)) if p == 5 \
                 else mpmath.log(10)
             assert abs(value - want) < mpmath.mpf(10) ** -40, p
@@ -229,9 +227,9 @@ def test_phi_combination_complex_points():
 
 def test_phi_alpha_form_combination():
     with mpmath.workdps(60):
-        for p, z in [(2, GaussianRational(3)), (3, GaussianRational(2))]:
+        for p, z_squared in [(2, 9), (3, 4)]:
             row = sd.d2_params(p)
-            phi_a, _, _, phi_d = bp.phi_closed_forms(z, 160)
+            phi_a, _, _, phi_d = bp.phi_closed_forms(z_squared, 160)
             value = (-Fraction(row.beta, row.gamma) * phi_a
                      + Fraction(row.alpha + 2 * row.beta, row.gamma) * phi_d)
             want = mpmath.mpf(machin.log_decimal(p, 50))
@@ -246,40 +244,33 @@ def test_log_from_closed_forms_all_rows():
             assert abs(value - want) < mpmath.mpf(10) ** -40, p
 
 
+def test_log_from_closed_forms_irrational_point_at_high_precision():
+    # p = 10 has the irrational z = i sqrt(5/3); its exact z^2 carries
+    # the closed forms to any precision
+    value = bp.log_from_closed_forms(10, bits=700)
+    want = Fraction(machin.log_decimal(10, 210))
+    with mpmath.workprec(720):
+        gap = abs(value - mpmath.mpf(want.numerator) / want.denominator)
+        assert gap < mpmath.mpf(10) ** -200, gap
+
+
 def test_phi_rejects_poles_and_divergence():
-    with pytest.raises(ValueError, match="pole"):
-        bp.phi_closed_forms(GaussianRational(1), 64)
-    with pytest.raises(ValueError, match="pole"):
-        bp.phi_closed_forms(GaussianRational(0), 64)
+    for pole in (1, 0, Fraction(1, 3)):
+        with pytest.raises(ValueError, match="pole"):
+            bp.phi_closed_forms(pole, 64)
     with pytest.raises(ValueError, match="diverge"):
-        # |z| just above 1: rho lands outside the unit disc
-        bp.phi_closed_forms(GaussianRational(Fraction(23, 20)), 64)
+        # |z| = 23/20, just above 1: rho lands outside the unit disc
+        bp.phi_closed_forms(Fraction(529, 400), 64)
 
 
-def test_z_from_rho_table_values():
-    assert bp.z_from_rho(Fraction(1, 243)) == GaussianRational(2)
-    assert bp.z_from_rho(Fraction(1, 3888)) == GaussianRational(3)
-    assert bp.z_from_rho(Fraction(27, 196)) == GaussianRational(Fraction(4, 3))
-    assert bp.z_from_rho(Fraction(-1, 675)) == GaussianRational(0, 2)
+def test_phi_rejects_rate_too_close_to_one():
+    # z^2 just above 4/3 puts rho inside the unit disc but within 1e-5
+    # of 1; the term cap refuses it before any series is summed
+    with pytest.raises(ValueError, match="too close to 1"):
+        bp.phi_closed_forms(Fraction(4, 3) + Fraction(1, 10 ** 6), 64)
 
 
-def test_z_from_rho_matches_parameter_map():
+def test_z_squared_matches_parameter_map():
     # for the rows with rational z, z equals (p+1)/(p-1)
     for p in (2, 3, 7):
-        row = sd.d2_params(p)
-        assert bp.z_from_rho(row.rho) == GaussianRational(Fraction(p + 1, p - 1))
-
-
-def test_z_from_rho_irrational_row():
-    z = bp.z_from_rho(Fraction(-1, 80))
-    assert isinstance(z, mpmath.mpc)
-    assert z.real == 0
-    with mpmath.workdps(30):
-        assert abs(z.imag ** 2 - mpmath.mpf(5) / 3) < mpmath.mpf(10) ** -20
-
-
-def test_z_from_rho_rejects_bad_rho():
-    with pytest.raises(ValueError):
-        bp.z_from_rho(0)
-    with pytest.raises(ValueError):
-        bp.z_from_rho(Fraction(1, 6))  # above 4/27
+        assert sd.d2_params(p).z_squared == Fraction(p + 1, p - 1) ** 2

@@ -260,6 +260,15 @@ def test_prove_closed_form(capsys):
     assert "branch residual" in out
 
 
+def test_prove_closed_form_irrational_point_beyond_80_digits(capsys):
+    # p = 10's point z = i sqrt(5/3) is irrational; the proof must not
+    # depend on a numeric root of limited precision
+    code, out, _ = invoke(capsys, ["prove", "--p", "10", "--method", "closed",
+                                   "--digits", "90"])
+    assert code == 0
+    assert out.rstrip().endswith("PASS")
+
+
 def test_prove_unsupported_target(capsys):
     code, _, err = invoke(capsys, ["prove", "--p", "6"])
     assert code == 1

@@ -10,7 +10,6 @@ import pytest
 from logseries import betaproof as bp
 from logseries import machin
 from logseries import seriesdef as sd
-from logseries.exactnum import GaussianRational
 
 
 def test_motive_validation():
@@ -291,8 +290,6 @@ def test_d2_params_table():
         # rate formula consistency is enforced by the constructor
         assert Fraction(4) / (27 * row.z_squared * (1 - row.z_squared) ** 2) \
             == row.rho
-    assert sd.d2_params(5).z == GaussianRational(0, 2)
-    assert sd.d2_params(10).z is None
     with pytest.raises(KeyError):
         sd.d2_params(6)
 
