@@ -130,7 +130,10 @@ def _cmd_search(args):
 
     candidates = relsearch.search(motive, target, 1, strategy)
     if not candidates:
-        print(f"no integer relations found for log({args.p})")
+        # lindep sees the target and its d sums
+        bound = relsearch.norm_bound_text(motive.d + 1, relsearch.COEFF_BITS)
+        print(f"no integer relations found for log({args.p}) "
+              f"with coefficient norm <= {bound}")
         return 0
     ranges = ",".join(f"{lo}:{hi}" for lo, hi in args.exponents)
     args_text = (f"p={args.p} primes={','.join(map(str, args.primes))} "

@@ -2,12 +2,14 @@
 
 Fixing the motive parameter lists and walking the rate over products of
 small prime powers, each candidate rate yields weighted partial sums
-s_0..s_h of the term recurrence. A fixed-point PSLQ pass (mpmath) then
-asks whether an integer combination of those sums reproduces the target
-constant. Detection alone is not trusted: every hit is checked in exact
-rationals, re-tested against a finer slice of the target, rebuilt as a
-series, and must reproduce the target to 50 digits through binary
-splitting before it is reported.
+s_0..s_h of the term recurrence. An exact integer LLL reduction then
+asks whether an integer combination of those sums, with coefficient
+norm under a stated bound, reproduces the target constant; when none
+does, the reduced basis either proves that no such combination exists
+or a warning says it could not decide. Detection alone is not trusted:
+every hit is checked in exact rationals, re-tested against a finer
+slice of the target, rebuilt as a series, and must reproduce the
+target to 50 digits through binary splitting before it is reported.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-import mpmath
-
 from . import binsplit
 from .exactnum import FixedReal, IntPoly
 from .seriesdef import Motive, SeriesSpec
@@ -30,13 +30,8 @@ log = logging.getLogger(__name__)
 
 LOG2_10 = math.log2(10)
 
-# Squared-norm ceiling for accepted relation vectors: dimension << 205.
-# Anything larger is lattice noise, not a 64-bit-coefficient relation.
-COEFF_NORM_BITS = 205
-
-# PSLQ iteration cap: the catalog searches end within ~300 steps; a call
-# that reaches it reports no relation.
-PSLQ_MAX_STEPS = 2000
+# Coefficient bits the search asks lindep for.
+COEFF_BITS = 64
 
 # Lattice rates at or above this cannot converge usefully and are skipped.
 RHO_BOUND = Fraction(3, 5)
@@ -132,54 +127,123 @@ def partial_sum_si(motive: Motive, i: int, N: int, bits: int) -> FixedReal:
 #  Relation detection
 # ----------------------------------------------------------------------
 
-def lindep(values: Sequence[FixedReal], max_coeff_bits: int) -> Optional[List[int]]:
-    """Integer vector v with sum(v_j * values_j) below 2^(-prec/2), or
-    None when no vector within the acceptance bounds is detected.
+def lll_reduce(basis: Sequence[Sequence[int]]
+               ) -> Tuple[List[List[int]], List[int]]:
+    """LLL reduction with delta = 3/4 of linearly independent integer
+    rows, in exact integers (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.6.7).
 
-    prec is the shared (minimum) precision of the inputs and must cover
-    the coefficients being sought: at least count*max_coeff_bits + 64,
-    otherwise the call refuses rather than guess. Detection is mpmath's
-    fixed-point PSLQ at prec bits, which needs nonzero inputs: a value
-    already below the bound is left out of it (and is itself the answer
-    when it is the first one). Acceptance is exact: a nonzero first
-    coefficient (the target's), squared norm under count*2^205, and the
-    residual bound checked on the inputs as exact rationals.
+    Returns the reduced rows, which span the same lattice, and their
+    Gram determinants d: d[0] = 1 and d[i] is that of the first i rows,
+    so the Gram-Schmidt vector b*_i has |b*_i|^2 = d[i+1]/d[i].
+    """
+    b = [list(row) for row in basis]
+    n = len(b)
+
+    def dot(x, y):
+        return sum(p * q for p, q in zip(x, y))
+
+    # row i is Cohen's b_(i+1); lam[k][j] = d[j+1] * mu_kj is an integer
+    d = [1, dot(b[0], b[0])] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def size_reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [p - q * r for p, r in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, k_max = 1, 0
+    while k < n:
+        if k > k_max:
+            k_max = k
+            for j in range(k + 1):
+                u = dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise ValueError("rows are linearly dependent")
+                else:
+                    d[k + 1] = u
+        size_reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            m = lam[k][k - 1]
+            new_d = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            for i in range(k + 1, k_max + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (new_d * t + m * lam[i][k]) // d[k + 1]
+            d[k] = new_d
+            k = max(1, k - 1)
+            continue
+        for l in range(k - 2, -1, -1):
+            size_reduce(k, l)
+        k += 1
+    return b, d
+
+
+def norm_bound_text(count: int, max_coeff_bits: int) -> str:
+    """lindep's coefficient norm bound for `count` values, as text."""
+    return f"2^{max_coeff_bits}*sqrt({count})"
+
+
+def lindep(values: Sequence[FixedReal], max_coeff_bits: int) -> Optional[List[int]]:
+    """Integer vector u with u[0] > 0, |u| < B = sqrt(n)*2^max_coeff_bits
+    and |sum(u_j * values_j)| < 2^(-prec/2), or None.
+
+    prec is the shared (minimum) precision of the n inputs and must
+    cover k = n*max_coeff_bits + 64 bits, otherwise the call refuses
+    rather than guess. The rows (e_j | x_j), with x_j the j-th mantissa
+    cut to k fractional bits, are LLL-reduced, and the answer is the
+    first reduced row whose leading n entries pass all three tests,
+    each checked exactly (the residual on the inputs as rationals).
+
+    None is a proof when it can be. Take an integer u with |u| <= B and
+    sum(u_j * y_j) = 0 for reals y_j within 2^-prec of the inputs. Each
+    x_j lies within 2 of 2^k * y_j, so |sum(u_j * x_j)| < 2*sum(|u_j|)
+    and (u | sum(u_j * x_j)) is a lattice vector of squared norm below
+    R^2 = B^2*(1 + 4n). Every lattice vector that short lies in the span
+    of the reduced rows up to the last one with |b*|^2 <= R^2. When all
+    of those have u[0] = 0, no such relation involves the first value.
+    Otherwise the reduced basis cannot decide, and a warning says so.
     """
     vals = list(values)
-    if len(vals) < 2:
+    n = len(vals)
+    if n < 2:
         raise ValueError("need at least two values")
     if max_coeff_bits < 1:
         raise ValueError("max_coeff_bits must be positive")
     prec = min(v.bit_precision for v in vals)
-    need = len(vals) * max_coeff_bits + 64
-    if prec < need:
+    k = n * max_coeff_bits + 64
+    if prec < k:
         raise ValueError(
-            f"{len(vals)} values at {max_coeff_bits} coefficient bits "
-            f"need {need} shared bits, have {prec}")
-    n = len(vals)
+            f"{n} values at {max_coeff_bits} coefficient bits "
+            f"need {k} shared bits, have {prec}")
+    rows, d = lll_reduce([[int(i == j) for j in range(n)]
+                          + [v.mantissa >> (v.bit_precision - k)]
+                          for i, v in enumerate(vals)])
     exact = [v.to_fraction() for v in vals]
     bound = Fraction(1, 1 << (prec // 2))
-    if abs(exact[0]) < bound:
-        return [1] + [0] * (n - 1)
-    live = [j for j in range(n) if abs(exact[j]) >= bound]
-    if len(live) < 2:
-        return None
-    with mpmath.workprec(prec):
-        found = mpmath.pslq(
-            [mpmath.mpf((vals[j].mantissa, -vals[j].bit_precision))
-             for j in live],
-            tol=mpmath.mpf((1, -(prec // 2))),
-            maxcoeff=1 << ((COEFF_NORM_BITS + 1) // 2),
-            maxsteps=PSLQ_MAX_STEPS)
-    if found is None:
-        return None
-    u = [0] * n
-    for j, c in zip(live, found):
-        u[j] = c
-    if u[0] == 0 or sum(c * c for c in u) >= n << COEFF_NORM_BITS \
-            or abs(sum(c * x for c, x in zip(u, exact))) >= bound:
-        return None
-    return u
+    norm2 = n << (2 * max_coeff_bits)
+    for row in rows:
+        u = row[:n]
+        if u[0] != 0 and sum(c * c for c in u) < norm2 \
+                and abs(sum(c * x for c, x in zip(u, exact))) < bound:
+            return u if u[0] > 0 else [-c for c in u]
+    r2 = norm2 * (1 + 4 * n)
+    short = max((i + 1 for i in range(n) if d[i + 1] <= r2 * d[i]), default=0)
+    if any(row[0] != 0 for row in rows[:short]):
+        log.warning("undecided: no relation accepted, but one with "
+                    "coefficient norm <= %s is not excluded",
+                    norm_bound_text(n, max_coeff_bits))
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +291,7 @@ def _examine_point(motive, target, h, rho, n_terms, bits, cost):
     sums = [FixedReal.from_rational(x, bits) for x in exact]
     tgt = FixedReal.from_rational(target.to_fraction(), bits)
     values = [tgt] + [sums[i] for i in range(h, -1, -1)]
-    u = lindep(values, 64)
+    u = lindep(values, COEFF_BITS)
     if u is None or u[1] == 0:
         return None
     if u[1] < 0:

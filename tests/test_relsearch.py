@@ -1,4 +1,7 @@
+import logging
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -129,16 +132,130 @@ def test_lindep_exact_zero_inputs():
     assert rs.lindep([third, zero, sixth], 64) in ([1, 0, -2], [-1, 0, 2])
 
 
-def test_lindep_returns_none_without_a_relation():
+def test_lindep_returns_none_without_a_relation(caplog):
     # log 2 and log 3 are multiplicatively independent; any integer
-    # relation would need astronomically large coefficients.
+    # relation would need astronomically large coefficients, and the
+    # reduced basis proves that none lies below the bound.
     values = [_log_fixed(2, 200, 660), _log_fixed(3, 200, 660)]
-    assert rs.lindep(values, 64) is None
+    with caplog.at_level(logging.WARNING, logger="logseries.relsearch"):
+        assert rs.lindep(values, 64) is None
+    assert not caplog.records
+
+
+def test_lindep_norm_bound_is_sharp(caplog):
+    # [1, 2^-c] has the relation (1, -2^c), of norm just over 2^c;
+    # B = 2^64*sqrt(2) admits c = 63 and refuses c = 65
+    def run(c):
+        return rs.lindep([FixedReal.from_rational(Fraction(1), 256),
+                          FixedReal.from_rational(Fraction(1, 2 ** c), 256)],
+                         64)
+
+    assert run(63) == [1, -2 ** 63]
+    with caplog.at_level(logging.WARNING, logger="logseries.relsearch"):
+        assert run(65) is None
+    # within sqrt(1 + 4n) of B the basis cannot exclude it: undecided
+    assert [r.getMessage() for r in caplog.records] == [
+        "undecided: no relation accepted, but one with coefficient "
+        "norm <= 2^64*sqrt(2) is not excluded"]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="logseries.relsearch"):
+        assert run(67) is None
+    assert not caplog.records
+
+
+def test_lindep_recovers_planted_relations():
+    rng = random.Random(17)
+    for _ in range(50):
+        n = rng.randint(3, 7)
+        u = [rng.randint(1 - 2 ** 20, 2 ** 20 - 1) for _ in range(n)]
+        u[0] = u[0] or 1
+        # mantissas m with sum(u_j m_j) = 0 exactly, 37 bits below the
+        # precision lindep needs so that cutting them is exercised too
+        bits = 64 * n + 64 + 37
+        rest = [rng.choice((-1, 1)) * rng.getrandbits(bits)
+                for _ in range(n - 1)]
+        mantissas = ([-sum(c * m for c, m in zip(u[1:], rest))]
+                     + [u[0] * m for m in rest])
+        g = gcd(*u)
+        want = [c // g for c in u]
+        got = rs.lindep([FixedReal(m, bits) for m in mantissas], 64)
+        assert got in (want, [-c for c in want])
+
+
+def _gram_schmidt(rows):
+    """Reference Gram-Schmidt in rationals: (b* vectors, mu rows)."""
+    stars, mu = [], []
+    for row in rows:
+        v = [Fraction(x) for x in row]
+        coeffs = []
+        for s in stars:
+            m = sum(x * y for x, y in zip(row, s)) / sum(y * y for y in s)
+            coeffs.append(m)
+            v = [a - m * c for a, c in zip(v, s)]
+        stars.append(v)
+        mu.append(coeffs)
+    return stars, mu
+
+
+def _det(matrix):
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def test_lll_reduce_gives_a_reduced_basis_of_the_same_lattice():
+    rng = random.Random(5)
+    # rows (e_j | x_j) with x_j of one to three random entries: the
+    # leading n entries of a reduced row are its transform
+    bases = [[[int(i == j) for j in range(n)]
+              + [rng.randint(-2 ** bits, 2 ** bits) for _ in range(m)]
+              for i in range(n)]
+             for n, m, bits in ((2, 1, 40), (3, 2, 40), (4, 1, 200),
+                                (5, 3, 60), (6, 2, 80))]
+    for basis in bases:
+        rows, d = rs.lll_reduce(basis)
+        t = [row[:len(basis)] for row in rows]
+        assert all(sum(c * b[i] for c, b in zip(tr, basis)) == row[i]
+                   for tr, row in zip(t, rows) for i in range(len(row)))
+        assert abs(_det(t)) == 1
+        stars, mu = _gram_schmidt(rows)
+        norms = [sum(x * x for x in s) for s in stars]
+        for i in range(len(rows)):
+            assert d[i + 1] == d[i] * norms[i]
+            assert all(abs(m) <= Fraction(1, 2) for m in mu[i])
+            if i:
+                assert norms[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) \
+                    * norms[i - 1]
+    with pytest.raises(ValueError, match="dependent"):
+        rs.lll_reduce([[1, 2], [2, 4]])
 
 
 # ----------------------------------------------------------------------
 #  Search
 # ----------------------------------------------------------------------
+
+def _count_lindep(monkeypatch):
+    """Record every lindep result while the test runs."""
+    results, lindep = [], rs.lindep
+
+    def counting(values, max_coeff_bits):
+        results.append(lindep(values, max_coeff_bits))
+        return results[-1]
+
+    monkeypatch.setattr(rs, "lindep", counting)
+    return results
+
 
 @pytest.fixture(scope="module")
 def log3_search():
@@ -169,6 +286,19 @@ def test_search_rediscovers_the_log2_series(log2_search):
     cand = log2_search[0]
     assert cand.coefficients == (2, -297, 1794)
     assert abs(cand.cost - 0.9679) < 1e-4
+
+
+def test_log3_box_misses_are_proved(monkeypatch, caplog):
+    results = _count_lindep(monkeypatch)
+    target = _log_fixed(3, 200, 660)
+    strategy = rs.LatticeStrategy(primes=(3,), exponent_bounds=((-8, 0),),
+                                  cost_bound=2.0)
+    with caplog.at_level(logging.WARNING, logger="logseries.relsearch"):
+        found = rs.search(_m2a(), target, 1, strategy)
+    assert [c.rho for c in found] == [Fraction(1, 243)]
+    assert len(results) == 10
+    assert sum(r is not None for r in results) == 1
+    assert not caplog.records
 
 
 def test_candidate_residual_meets_the_detection_bound(log3_search):
@@ -209,8 +339,9 @@ def test_search_rediscovers_a_degree4_series(label):
     assert binsplit.cross_verify(found[0].series, spec, 60) >= 60
 
 
-def test_search_rediscovers_a_degree6_series():
+def test_search_rediscovers_a_degree6_series(monkeypatch):
     from logseries import binsplit
+    results = _count_lindep(monkeypatch)
     spec = catalog_get("log2-eq18")
     strategy = rs.LatticeStrategy(primes=(2, 3, 7),
                                   exponent_bounds=((-4, 0), (-3, 0), (-7, 0)),
@@ -221,6 +352,9 @@ def test_search_rediscovers_a_degree6_series():
     assert [(c.rho, c.coefficients) for c in found] == \
         [(Fraction(1, 355770576), coefficients)]
     assert binsplit.cross_verify(found[0].series, spec, 60) >= 60
+    # the norm bound lets no lattice noise through at the other points
+    assert len(results) == 114
+    assert sum(r is not None for r in results) <= 1
 
 
 def test_search_with_unreachable_rho_bound_is_empty():
@@ -237,7 +371,6 @@ def test_search_with_no_primes_is_empty():
 
 
 def test_search_skips_when_the_target_is_too_short(caplog):
-    import logging
     target = _log_fixed(3, 60, 200)
     strategy = rs.LatticeStrategy(primes=(3,), exponent_bounds=((-8, 0),))
     with caplog.at_level(logging.WARNING, logger="logseries.relsearch"):
