@@ -102,13 +102,13 @@ def pfbeta(G, L, m, a, N, b):
     return tuple(coefficients)
 
 
-def pfbeta_residual(G, A, m, a, N, b, samples=None):
+def pfbeta_residual(G, A, m, a, N, b):
     """Residual function n -> G(n) - sum_k A_k u(n, k), certified zero.
 
-    The residual is sampled at `samples` pole-free positive rationals
-    (default 2 len(A) + 16, enough for every decomposition produced
-    here); any nonzero value raises. The callable is returned so callers
-    can probe further points themselves.
+    The residual is sampled at the first 2 len(A) + 16 pole-free positive
+    integers, enough for every decomposition produced here; any nonzero
+    value raises. The callable is returned so callers can probe further
+    points themselves.
     """
     a = Fraction(a)
     b = Fraction(b)
@@ -120,7 +120,7 @@ def pfbeta_residual(G, A, m, a, N, b, samples=None):
             total -= coefficient * _basis(x, k, m, a, b, N)
         return total
 
-    wanted = samples if samples is not None else 2 * len(A) + 16
+    wanted = 2 * len(A) + 16
     checked = 0
     x = Fraction(1)
     while checked < wanted:

@@ -103,24 +103,13 @@ class RelationCandidate:
 # ----------------------------------------------------------------------
 
 def _exact_si(motive: Motive, i: int, N: int) -> Fraction:
-    """s_i truncated at N, exactly: the binary-splitting sum of the
+    """s_i truncated at N, exactly: the sum over n=1..N of
+    n^i/r(n) * prod_{k<=n} rho*num(k)/den(k), with r(n) = prod (v*n - v + u)
+    over the numerator parameters u/v, by binary splitting of the
     start-1 series with numerator n^i and lambda = 1."""
     spec = SeriesSpec(motive, IntPoly([0] * i + [1]), Fraction(1),
                       Fraction(1), 1, f"s_{i}")
     return binsplit.node_sum(spec, binsplit.split_range(spec, 1, N + 1))
-
-
-def partial_sum_si(motive: Motive, i: int, N: int, bits: int) -> FixedReal:
-    """Sum over n=1..N of n^i/r(n) * prod_{k<=n} rho*num(k)/den(k), with
-    r(n) = prod (v*n - v + u) over the numerator parameters u/v.
-
-    The sum is exact; only the final value is rounded to `bits`.
-    """
-    if i < 0:
-        raise ValueError("need i >= 0")
-    if N < 1:
-        raise ValueError("need N >= 1")
-    return FixedReal.from_rational(_exact_si(motive, i, N), bits)
 
 
 # ----------------------------------------------------------------------

@@ -451,11 +451,6 @@ def level2_series(p) -> SeriesSpec:
     )
 
 
-def _self_power(k):
-    # k**k with the empty-product convention 0**0 = 1.
-    return k ** k if k else 1
-
-
 def gamma_quotient_motive(m, nu):
     """Pochhammer parameters of lam^n Gamma(nu n+1) Gamma(m n+1/2) / Gamma(N n+1/2).
 
@@ -480,7 +475,7 @@ def gamma_quotient_motive(m, nu):
 def gamma_quotient_lambda(m, nu):
     """The growth constant N^N / (m^m nu^nu) with N = m + nu."""
     n_count = m + nu
-    return Fraction(_self_power(n_count), _self_power(m) * _self_power(nu))
+    return Fraction(n_count ** n_count, m ** m * nu ** nu)
 
 
 def beta_family(m, nu, x, name) -> SeriesSpec:

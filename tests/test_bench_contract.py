@@ -13,9 +13,11 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
+import run  # noqa: E402
 import spans  # noqa: E402
 import worker  # noqa: E402
 
+import logseries  # noqa: E402
 from logseries import altseries, binsplit, seriesdef  # noqa: E402
 
 
@@ -45,3 +47,30 @@ def test_observed_argument_names_still_bind():
     assert "spec" in inspect.signature(seriesdef.estimate_terms).parameters
     params = inspect.signature(altseries.scan_range).parameters
     assert {"p_lo", "p_hi"} <= set(params)
+
+
+def _harness_names():
+    """Every dotted name the harness wraps or totals by: observers, traced
+    methods, family constructors, cli.run and the head of each timed or
+    counted per-layer metric outside its own cli., cost_model. and
+    trace. groups."""
+    names = {*worker._observers(), *worker.TRACED_METHODS,
+             *run.FAMILY_CONSTRUCTORS, "cli.run"}
+    for metric, _ in run.PER_LAYER:
+        head, _, field = metric.rpartition(".")
+        if field in ("calls", "s", "self_s") and head != "seriesdef.family" \
+                and not metric.startswith(("cli.", "cost_model.", "trace.")):
+            names.add(head)
+    return names
+
+
+def test_every_harness_name_resolves():
+    # a name that no longer resolves is not traced, and its metric reads 0
+    names = _harness_names()
+    assert len(names) >= 21
+    for name in names:
+        module, *path = name.split(".")
+        obj = getattr(logseries, module)
+        for attr in path:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)

@@ -236,6 +236,18 @@ def test_wz_verify_filtered(capsys):
                for line in lines)
 
 
+WZ_VERIFY_GRID_20 = "".join(
+    f"{label}: telescoping exact on the 21x21 grid (441 points); "
+    f"92-term sum matches log({label[3]}) to >= 45 digits: yes\n"
+    for label in ("log2-s2t1", "log2-s1t2", "log3-s2t1", "log3-s1t2",
+                  "log5-s2t1+i", "log5-s1t2+i", "log5-s2t1-i", "log5-s1t2-i"))
+
+
+def test_wz_verify_output_is_unchanged(capsys):
+    assert invoke(capsys, ["wz-verify", "--grid", "20", "--digits", "45"]) \
+        == (0, WZ_VERIFY_GRID_20, "")
+
+
 def test_wz_verify_unknown_target(capsys):
     code, _, err = invoke(capsys, ["wz-verify", "--p", "7"])
     assert code == 1

@@ -27,21 +27,21 @@ def _log_fixed(p, digits, bits):
 
 def test_single_term_sum_is_the_first_term():
     motive = _m2a(Fraction(1, 243))
-    got = rs.partial_sum_si(motive, 0, 1, 256)
+    got = FixedReal.from_rational(rs._exact_si(motive, 0, 1), 256)
     assert abs(got.to_fraction() - Fraction(2, 135)) <= Fraction(1, 2 ** 255)
 
 
 def test_sums_stabilize_once_the_tail_is_spent():
     motive = _m2a(Fraction(1, 3888))
-    a = rs.partial_sum_si(motive, 1, 60, 400)
-    b = rs.partial_sum_si(motive, 1, 70, 400)
+    a = FixedReal.from_rational(rs._exact_si(motive, 1, 60), 400)
+    b = FixedReal.from_rational(rs._exact_si(motive, 1, 70), 400)
     assert abs(a.to_fraction() - b.to_fraction()) < Fraction(1, 10 ** 60)
 
 
 def test_weighted_sums_rebuild_log3():
     motive = _m2a(Fraction(1, 243))
-    s1 = rs.partial_sum_si(motive, 1, 250, 500)
-    s0 = rs.partial_sum_si(motive, 0, 250, 500)
+    s1 = FixedReal.from_rational(rs._exact_si(motive, 1, 250), 500)
+    s0 = FixedReal.from_rational(rs._exact_si(motive, 0, 250), 500)
     combo = 88 * s1.to_fraction() - 14 * s0.to_fraction()
     want = Fraction(machin.log_decimal(3, 130))
     assert abs(combo - want) < Fraction(1, 10 ** 100)
@@ -61,7 +61,8 @@ def test_kernel_sums_match_an_independent_fraction_sum():
     for motive in (sig6, alternating, d4):
         denom = denominator_basis(motive, 1)
         for i in range(4):
-            got = rs.partial_sum_si(motive, i, n_terms, bits)
+            got = FixedReal.from_rational(rs._exact_si(motive, i, n_terms),
+                                          bits)
             assert got == FixedReal.from_rational(want(motive, i, denom),
                                                   bits), (motive, i)
     # a non-integer lambda, which only the compiled scale carries
@@ -71,14 +72,6 @@ def test_kernel_sums_match_an_independent_fraction_sum():
         node = binsplit.split_range(spec, 1, n_terms + 1)
         assert binsplit.node_sum(spec, node) == \
             want(sig6, i, spec.denominator_poly), i
-
-
-def test_partial_sum_rejects_bad_arguments():
-    motive = _m2a(Fraction(1, 243))
-    with pytest.raises(ValueError):
-        rs.partial_sum_si(motive, -1, 10, 256)
-    with pytest.raises(ValueError):
-        rs.partial_sum_si(motive, 0, 0, 256)
 
 
 def test_motive_denominator_clears_fractions():
@@ -108,8 +101,8 @@ def test_lindep_finds_the_log3_relation():
     motive = _m2a(Fraction(1, 243))
     bits = 333  # about 100 working digits
     values = [_log_fixed(3, 110, bits),
-              rs.partial_sum_si(motive, 1, 120, bits),
-              rs.partial_sum_si(motive, 0, 120, bits)]
+              FixedReal.from_rational(rs._exact_si(motive, 1, 120), bits),
+              FixedReal.from_rational(rs._exact_si(motive, 0, 120), bits)]
     got = rs.lindep(values, 64)
     assert got in ([-1, 88, -14], [1, -88, 14])
 
