@@ -5,11 +5,12 @@ w = 1 + r e^(i phi) of norm p at which q = (w-1)^3 / (w (w+1)) is purely
 imaginary. With u = Re w and v^2 = p - u^2 that reads 2u^2 + (p+1)u = 4p,
 whose one root on the circle |w|^2 = p is u = (sqrt(D) - p - 1)/4,
 D = p^2 + 34p + 1. (The other factor of "the rate is real" makes q real
-and the rate positive.) Everything is decided exactly in Q(sqrt(D)): the
-rate is rational precisely when D is a square, for integer p >= 2 only at
-5, 10, 21 and 56. There w = u + sqrt(u^2 - p) with u rational gives the
-integer series parameters and the quadratic field exactly; (r, phi) are
-only rendered for output and checks.
+and the rate positive.) Everything is decided exactly in Q(sqrt(D)), with
+u and the rate as exactnum.QuadraticRational: the rate is rational
+precisely when D is a square, for integer p >= 2 only at 5, 10, 21 and
+56. There w = u + sqrt(u^2 - p) with u rational, a QuadraticRational
+over d = u^2 - p, gives the integer series parameters and the quadratic
+field exactly; (r, phi) are only rendered for output and checks.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 import mpmath
 
-from .exactnum import FixedReal
-from .seriesdef import _mpf_to_fraction
+from .exactnum import FixedReal, QuadraticRational
 from . import binsplit, machin, seriesdef
 
 log = logging.getLogger(__name__)
@@ -47,57 +47,6 @@ def _squarefree_part(n):
     return n
 
 
-class _Surd:
-    """a + b sqrt(d) with rational a, b over one rational d.
-
-    Made by root(d), which folds a rational square root into a, so b is
-    0 exactly when the number is rational. The sign is exact and exists
-    only for d >= 0.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b, d):
-        self.a, self.b, self.d = Fraction(a), Fraction(b), d
-
-    @classmethod
-    def root(cls, d):
-        d = Fraction(d)
-        if d >= 0:
-            top, bottom = isqrt(d.numerator), isqrt(d.denominator)
-            if top * top == d.numerator and bottom * bottom == d.denominator:
-                return cls(Fraction(top, bottom), 0, d)
-        return cls(0, 1, d)
-
-    def _lift(self, other):
-        return other if isinstance(other, _Surd) else _Surd(other, 0, self.d)
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return _Surd(self.a + other.a, self.b + other.b, self.d)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        return _Surd(self.a * other.a + self.b * other.b * self.d,
-                     self.a * other.b + self.b * other.a, self.d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        norm = other.a * other.a - other.b * other.b * self.d
-        return self * _Surd(other.a / norm, -other.b / norm, self.d)
-
-    def sign(self):
-        if self.d < 0:
-            raise ValueError("a complex field has no order")
-        # a + b sqrt(d) has the sign of a when a^2 > b^2 d, else that of b
-        larger = self.a if self.a ** 2 > self.b ** 2 * self.d else self.b
-        return (larger > 0) - (larger < 0)
-
-
 # ----------------------------------------------------------------------
 #  The branch point, its rate and its series
 # ----------------------------------------------------------------------
@@ -116,9 +65,8 @@ def _branch(p):
     """(u, rho) at the alternating branch point of norm p, exactly in
     Q(sqrt(D)), D = p^2 + 34p + 1: u = Re w, and the rate is
     -|w-1|^6 / (108 |w|^2 |w+1|^2) because q is purely imaginary there."""
-    u = (_Surd.root(p * p + 34 * p + 1) + (-p - 1)) / 4
-    near = u * -2 + (p + 1)
-    far = u * 2 + (p + 1)
+    u = (QuadraticRational.root(p * p + 34 * p + 1) - p - 1) / 4
+    near, far = -2 * u + (p + 1), 2 * u + (p + 1)
     return u, near * near * near / (far * (-108 * p))
 
 
@@ -131,8 +79,7 @@ def _polar(p, bits):
         u = (mpmath.sqrt(p * p + 34 * p + 1) - p - 1) / 4
         r = mpmath.sqrt(p + 1 - 2 * u)
         phi = mpmath.atan2(mpmath.sqrt(p - u * u), u - 1)
-    return tuple(FixedReal.from_rational(_mpf_to_fraction(x), bits)
-                 for x in (r, phi))
+    return tuple(FixedReal(int(mpmath.ldexp(x, bits)), bits) for x in (r, phi))
 
 
 def _abc(w):
@@ -140,9 +87,9 @@ def _abc(w):
     -(1/6) Re((w-1)/(w^2 (w+1)) P(n, w)), P(n, w) = slope n + const.
     w = u + sqrt(u^2 - p) with u rational, so the real part is the
     rational component."""
-    slope = 2 * (w * w + w * -14 + 1) * (w * w + w * 4 + 1)
-    const = (((w + -14) * w + -94) * w + -14) * w + 1
-    shell = (w + -1) / (w * w * (w + 1))
+    slope = 2 * (w * w - 14 * w + 1) * (w * w + 4 * w + 1)
+    const = (((w - 14) * w - 94) * w - 14) * w + 1
+    shell = (w - 1) / (w * w * (w + 1))
     a_over_c, b_over_c = (shell * slope).a / -6, (shell * const).a / -6
     c = lcm(a_over_c.denominator, b_over_c.denominator)
     a, b = int(a_over_c * c), int(b_over_c * c)
@@ -221,12 +168,12 @@ def _examine(p):
     """One scan step: None when the rate at p is irrational, a verified
     solution when it is rational."""
     u, rho = _branch(p)
-    if rho.b:
+    if not rho.is_rational():
         return None
     u, rho = u.a, rho.a
     v2 = p - u * u
     r, phi = _polar(p, RENDER_BITS)
-    a, b, c = _abc(_Surd.root(-v2) + u)
+    a, b, c = _abc(QuadraticRational.root(-v2) + u)
     # w = u + i v lies in Q(sqrt(m)), m = -(squarefree part of v^2)
     m = -_squarefree_part(v2.numerator * v2.denominator)
     solution = AlternatingSolution(p=p, r=r, phi=phi, rho=rho, m=m,

@@ -267,9 +267,12 @@ def _target_of(spec: SeriesSpec):
 def evaluate(spec: SeriesSpec, digits: int) -> DigitsResult:
     """Decimal expansion of the series limit, truncated to `digits` places.
 
-    The emitted digits are the exact floor of value*10^digits: guard
-    digits grow until the trailing window pins the truncation down, so
-    a run of 0s or 9s at the boundary can never leak a wrong digit. At
+    The text is the sign, then the exact floor of |value|*10^digits, so
+    a negative limit is truncated toward zero, as machin.log_decimal
+    prints it, not floored: log(1/2) at 20 places ends in ...941, where
+    the floor ends in ...942. Guard digits grow until the trailing
+    window pins the truncation down, so a run of 0s or 9s at the
+    boundary can never leak a wrong digit. At
     rho = 0 the series is a finite sum, so its value is exact and needs
     no guard test.
     """

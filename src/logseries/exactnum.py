@@ -1,6 +1,8 @@
 """Exact arithmetic substrate.
 
-Gaussian rationals, dense univariate polynomials with rational
+QuadraticRational, the one quadratic-field type: a + b sqrt(d) over
+Q(i) (d = -1) for the WZ certificates and over Q(sqrt(D)) for the
+alternating rates. Dense univariate polynomials with rational
 coefficients, and FixedReal, a real rounded once to a fixed number of
 bits that carries numeric results into the exact layers. Everything is
 immutable.
@@ -13,91 +15,102 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 # ----------------------------------------------------------------------
-#  Gaussian rationals
+#  Quadratic fields
 # ----------------------------------------------------------------------
 
-class GaussianRational:
-    """Element of Q(i) with exact Fraction components."""
+class QuadraticRational:
+    """a + b sqrt(d) with Fraction a and b over one rational d.
 
-    __slots__ = ("re", "im")
+    d = -1 gives the Gaussian rationals Q(i). root(d) folds a rational
+    square root into a, so b is 0 exactly when the number is rational;
+    b != 0 needs a d that is not a rational square. An int or Fraction
+    operand joins any field, and takes two multiplications in a product;
+    an operand over another d raises ValueError.
+    """
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d):
+        # operators pass Fractions; copying them was most of the cost
+        for name, x in (("a", a), ("b", b), ("d", d)):
+            object.__setattr__(self, name, x if isinstance(x, Fraction) else Fraction(x))
 
     def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+        raise AttributeError("QuadraticRational is immutable")
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussianRational):
-            return other
+    @classmethod
+    def root(cls, d):
+        """sqrt(d) in Q(sqrt(d)), rational when d is a rational square."""
+        d = Fraction(d)
+        if d >= 0:
+            top, bottom = math.isqrt(d.numerator), math.isqrt(d.denominator)
+            if top * top == d.numerator and bottom * bottom == d.denominator:
+                return cls(Fraction(top, bottom), 0, d)
+        return cls(0, 1, d)
+
+    def _lift(self, other):
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return NotImplemented
+            return QuadraticRational(other, 0, self.d)
+        if not isinstance(other, QuadraticRational):
+            raise TypeError(f"cannot combine with {type(other).__name__}")
+        if other.d != self.d:
+            raise ValueError(f"operands lie over d = {self.d} and d = {other.d}")
+        return other
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (int, Fraction, QuadraticRational)):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        other = self._lift(other)
+        return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to its rational value when b is 0, so the hashes agree
+        return hash(self.a) if not self.b else hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return bool(self.re or self.im)
+        return bool(self.a or self.b)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        other = self._lift(other)
+        return QuadraticRational(self.a + other.a, self.b + other.b, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return QuadraticRational(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        other = self._lift(other)
+        return QuadraticRational(self.a - other.a, self.b - other.b, self.d)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if isinstance(other, (int, Fraction)):
+            return QuadraticRational(self.a * other, self.b * other, self.d)
+        other = self._lift(other)
+        return QuadraticRational(self.a * other.a + self.b * other.b * self.d,
+                                 self.a * other.b + self.b * other.a, self.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if isinstance(other, (int, Fraction)):
+            return QuadraticRational(self.a / other, self.b / other, self.d)
+        other = self._lift(other)
         n = other.norm()
         if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+            raise ZeroDivisionError("division by zero")
+        return self * other.conjugate() / n
 
     def __rtruediv__(self, other):
-        return GaussianRational(other) / self
+        return QuadraticRational(other, 0, self.d) / self
 
     def __pow__(self, k):
         if k < 0:
-            return GaussianRational(1) / self ** (-k)
-        out = GaussianRational(1)
+            return 1 / self ** (-k)
+        out = QuadraticRational(1, 0, self.d)
         base = self
         while k:
             if k & 1:
@@ -107,19 +120,25 @@ class GaussianRational:
         return out
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return QuadraticRational(self.a, -self.b, self.d)
 
     def norm(self):
-        """re^2 + im^2, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        """a^2 - d b^2, an exact rational; |z|^2 over Q(i)."""
+        return self.a * self.a - self.d * self.b * self.b
 
     def is_rational(self):
-        return self.im == 0
+        return self.b == 0
+
+    def sign(self):
+        """Exact sign of the real number a + b sqrt(d), for d >= 0."""
+        if self.d < 0:
+            raise ValueError("a complex field has no order")
+        # a + b sqrt(d) has the sign of a when a^2 > b^2 d, else that of b
+        larger = self.a if self.a * self.a > self.b * self.b * self.d else self.b
+        return (larger > 0) - (larger < 0)
 
     def __repr__(self):
-        if self.im == 0:
-            return f"GaussianRational({self.re})"
-        return f"GaussianRational({self.re}, {self.im})"
+        return f"QuadraticRational({self.a}, {self.b}, {self.d})"
 
 
 # ----------------------------------------------------------------------

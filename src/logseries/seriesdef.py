@@ -36,12 +36,6 @@ import mpmath
 from .exactnum import FixedReal, IntPoly
 
 
-def _mpf_to_fraction(x):
-    sign, man, exp, _ = x._mpf_
-    f = Fraction(man) * Fraction(2) ** exp
-    return -f if sign else f
-
-
 # ----------------------------------------------------------------------
 #  Data model
 # ----------------------------------------------------------------------
@@ -179,7 +173,7 @@ def binary_splitting_cost(spec: SeriesSpec, bits: int = 96) -> FixedReal:
         log_rho = mpmath.log(mpmath.mpf(abs(rho).numerator)) \
             - mpmath.log(mpmath.mpf(abs(rho).denominator))
         cost = -4 * spec.motive.d / log_rho
-        return FixedReal.from_rational(_mpf_to_fraction(cost), bits)
+        return FixedReal(int(mpmath.ldexp(cost, bits)), bits)
 
 
 # Relative margin around the float term count, over 300 times its

@@ -22,9 +22,10 @@ evaluated only where that walk starts. No code checks the WZ limit
 conditions (the row sums over k must vanish as n grows), so a
 `wz-verify` line covers only the grid telescoping and the agreement of
 the certificate sum with log p.
-Everything here is exact: the beta values are rationals and complex
-parameters live in Q(i), so a telescoping check either passes
-identically or names the failing grid points.
+Everything here is exact: the beta values are rationals, and the
+parameters, step constants and certificates are `QuadraticRational`s
+over Q(i) (d = -1), so a telescoping check either passes identically
+or names the failing grid points.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable
 
-from .exactnum import FixedReal, GaussianRational
+from .exactnum import FixedReal, QuadraticRational
 
 
 def _as_parameter(p):
-    if isinstance(p, GaussianRational):
+    if isinstance(p, QuadraticRational):
         return p
-    return GaussianRational(Fraction(p))
+    return QuadraticRational(p, 0, -1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,7 +57,7 @@ class WZContext:
     """
 
     variant: int
-    p: GaussianRational
+    p: QuadraticRational
     s: int
     t: int
 
@@ -68,10 +69,10 @@ class WZContext:
             raise ValueError("lattice shift needs s >= 1 and t >= 0")
         p = self.p
         if p.is_rational():
-            ok = p.re.denominator == 1 and 1 <= p.re <= 5
+            ok = p.a.denominator == 1 and 1 <= p.a <= 5
         else:
-            ok = p.re == 2 and abs(p.im) == 1
-        if not ok:
+            ok = p.a == 2 and abs(p.b) == 1
+        if p.d != -1 or not ok:
             raise ValueError(f"unsupported companion parameter {p!r}")
 
     # One step of base_f from (N, K) multiplies by a constant in Q(i) and
@@ -122,7 +123,7 @@ class Certificate:
     """Bivariate rational certificate R = G/F for a shifted companion."""
 
     context: WZContext
-    ratio: Callable[[int, int], GaussianRational]
+    ratio: Callable[[int, int], QuadraticRational]
     label: str
 
 
@@ -268,15 +269,15 @@ def exact_series_sum(cert, n_terms):
 def gst_series_sum(cert, n_terms, bits):
     """Sum G(n, 0) for n = 0..n_terms; the limit is log p.
 
-    The accumulation is exact Gaussian-rational arithmetic; the result
+    The accumulation is exact arithmetic in Q(i); the result
     is rounded to `bits` fractional bits only at the end. Terms whose
     magnitude fails to decrease abort the sum (the certificate's series
     would be divergent, so its value would be meaningless).
     """
     total = exact_series_sum(cert, n_terms)
     return CertificateSum(
-        real=FixedReal.from_rational(total.re, bits),
-        imag=FixedReal.from_rational(total.im, bits),
+        real=FixedReal.from_rational(total.a, bits),
+        imag=FixedReal.from_rational(total.b, bits),
         terms=n_terms + 1,
         conjugate_pair=not cert.context.p.is_rational(),
     )
@@ -292,17 +293,16 @@ def _grid_factor(n, k):
 
 def _real_ratio(scale, quadratic):
     def ratio(n, k):
-        return GaussianRational(Fraction(quadratic(n, k), scale * _grid_factor(n, k)))
+        return QuadraticRational(
+            Fraction(quadratic(n, k), scale * _grid_factor(n, k)), 0, -1)
     return ratio
 
 
 def _conjugate_ratio(scale, real_part, imag_part, imag_sign):
     def ratio(n, k):
         den = scale * _grid_factor(n, k)
-        return GaussianRational(
-            Fraction(real_part(n, k), den),
-            Fraction(imag_sign * imag_part(n, k), den),
-        )
+        return QuadraticRational(Fraction(real_part(n, k), den),
+                                 Fraction(imag_sign * imag_part(n, k), den), -1)
     return ratio
 
 
@@ -335,7 +335,7 @@ def _build_certificates():
     # identity (flipping either breaks every grid point), so the grid
     # check below is what pins them down.
     for sign, tag in ((1, "+i"), (-1, "-i")):
-        p = GaussianRational(2, sign)
+        p = QuadraticRational(2, sign, -1)
         certs[f"log5-s2t1{tag}"] = _certificate(
             f"log5-s2t1{tag}", 1, p, 2, 1,
             _conjugate_ratio(

@@ -9,7 +9,7 @@ from logseries import altseries as alt
 from logseries import binsplit
 from logseries import machin
 from logseries import seriesdef as sd
-from logseries.exactnum import FixedReal
+from logseries.exactnum import FixedReal, QuadraticRational
 
 
 TABLE = {
@@ -50,7 +50,7 @@ def _hit_point(p):
     """w = u + i v at a sporadic p, exactly in Q(sqrt(-v^2))."""
     u = alt._branch(p)[0]
     assert u.b == 0
-    return alt._Surd.root(u.a * u.a - p) + u.a
+    return QuadraticRational.root(u.a * u.a - p) + u.a
 
 
 def test_solve_matches_closed_form_points():
@@ -126,12 +126,12 @@ def test_rational_rates_only_at_the_four_sporadic_targets():
         # u+ lies on the circle |w|^2 = p; the other root u- does not
         u_plus = alt._branch(p)[0]
         assert (u_plus * u_plus * -1 + p).sign() > 0
-        u_minus = (alt._Surd.root(p * p + 34 * p + 1) * -1 + (-p - 1)) / 4
+        u_minus = (QuadraticRational.root(p * p + 34 * p + 1) * -1 + (-p - 1)) / 4
         assert (u_minus * u_minus + -p).sign() > 0
         # the other factor of "rho is real", u = -(p^2-6p+1)/(2p+2),
         # makes q = (w-1)^3/(w (w+1)) real, so rho = q^2/108 > 0 there
         u = Fraction(-(p * p - 6 * p + 1), 2 * p + 2)
-        w = alt._Surd.root(u * u - p) + u
+        w = QuadraticRational.root(u * u - p) + u
         q = (w + -1) * (w + -1) * (w + -1) / (w * (w + 1))
         assert q.b == 0 and q.a != 0
 
@@ -141,17 +141,6 @@ def test_scan_limit_is_the_last_convergent_integer():
     rho_next = alt._branch(alt.SCAN_LIMIT + 1)[1]
     assert (rho_last + 1).sign() > 0
     assert (rho_next + 1).sign() < 0
-
-
-def test_surd_sign_is_exact():
-    root2 = alt._Surd.root(2)
-    assert (root2 * root2).b == 0 and (root2 * root2).a == 2
-    assert (root2 * -2 + 3).sign() == 1          # 3 - 2 sqrt 2 > 0
-    assert (root2 * -1 + Fraction(141421356, 10 ** 8)).sign() == -1
-    assert (root2 * 0).sign() == 0
-    assert ((root2 + 1) / (root2 + -1)).sign() == 1
-    with pytest.raises(ValueError, match="complex"):
-        alt._Surd.root(-3).sign()
 
 
 def test_rate_is_real_negative_rational_at_hits():
@@ -166,14 +155,6 @@ def test_rate_rejects_inconsistent_point():
     with pytest.raises(ValueError, match="system"):
         alt.AlternatingSolution(p=hit.p, r=hit.r, phi=off, rho=hit.rho,
                                 m=hit.m, a=hit.a, b=hit.b, c=hit.c)
-
-
-def test_detect_rational_basics():
-    assert alt._Surd.root(Fraction(9, 16)).b == 0
-    assert alt._Surd.root(Fraction(9, 16)).a == Fraction(3, 4)
-    assert alt._Surd.root(0).b == 0
-    for d in (2, Fraction(1, 2), Fraction(8, 9), -4):
-        assert alt._Surd.root(d).b == 1, d
 
 
 def test_abc_recovers_printed_rows():

@@ -3,51 +3,105 @@ from fractions import Fraction
 
 import pytest
 
-from logseries.exactnum import FixedReal, GaussianRational, IntPoly, poly_gcd
+from logseries.exactnum import FixedReal, IntPoly, QuadraticRational, poly_gcd
 
 
 # ----------------------------------------------------------------------
-#  Gaussian rationals
+#  Quadratic fields: Q(i) at d = -1, Q(sqrt 2), and root(d)
 # ----------------------------------------------------------------------
+
+def _random_element(rng, d):
+    return QuadraticRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                             Fraction(rng.randint(-9, 9), rng.randint(1, 9)), d)
+
 
 def test_gaussian_field_ops():
-    a = GaussianRational(Fraction(1, 2), Fraction(3, 4))
-    b = GaussianRational(2, -1)
-    assert a + b == GaussianRational(Fraction(5, 2), Fraction(-1, 4))
-    assert a * b == GaussianRational(Fraction(7, 4), 1)
+    a = QuadraticRational(Fraction(1, 2), Fraction(3, 4), -1)
+    b = QuadraticRational(2, -1, -1)
+    assert a + b == QuadraticRational(Fraction(5, 2), Fraction(-1, 4), -1)
+    assert a * b == QuadraticRational(Fraction(7, 4), 1, -1)
     assert (a / b) * b == a
-    assert a - a == GaussianRational(0)
+    assert a - a == QuadraticRational(0, 0, -1)
     assert a.conjugate().conjugate() == a
 
 
 def test_gaussian_norm_multiplicative():
     rng = random.Random(7)
     for _ in range(50):
-        a = GaussianRational(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-        )
-        b = GaussianRational(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-        )
+        a, b = _random_element(rng, -1), _random_element(rng, -1)
         assert (a * b).norm() == a.norm() * b.norm()
 
 
 def test_gaussian_pow_and_division():
-    i = GaussianRational(0, 1)
-    assert i ** 2 == GaussianRational(-1)
-    assert i ** -1 == GaussianRational(0, -1)
-    z = GaussianRational(2, 1)
-    assert z * z.conjugate() == GaussianRational(z.norm())
+    i = QuadraticRational(0, 1, -1)
+    assert i ** 2 == QuadraticRational(-1, 0, -1)
+    assert i ** -1 == QuadraticRational(0, -1, -1)
+    z = QuadraticRational(2, 1, -1)
+    assert z * z.conjugate() == QuadraticRational(z.norm(), 0, -1)
     with pytest.raises(ZeroDivisionError):
-        z / GaussianRational(0)
+        z / QuadraticRational(0, 0, -1)
 
 
 def test_gaussian_immutable():
-    z = GaussianRational(1, 2)
+    z = QuadraticRational(1, 2, -1)
     with pytest.raises(AttributeError):
-        z.re = Fraction(5)
+        z.a = Fraction(5)
+
+
+def test_rational_operand_matches_the_field_product():
+    # the two-multiplication path for an int or Fraction operand agrees
+    # with the full product by the same value lifted into the field, and
+    # the norm is multiplicative, over Q(i) and over Q(sqrt 2)
+    rng = random.Random(23)
+    for d in (-1, 2):
+        for _ in range(50):
+            z, w = _random_element(rng, d), _random_element(rng, d)
+            for c in (rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))):
+                lifted = QuadraticRational(c, 0, d)
+                assert z * c == c * z == z * lifted
+                assert z + c == c + z == z + lifted
+                assert c - z == lifted - z
+                if c:
+                    assert z / c == z / lifted
+            assert (z * w).norm() == z.norm() * w.norm()
+            assert z * z.conjugate() == z.norm()
+
+
+def test_mixing_fields_raises():
+    root2, root3 = QuadraticRational.root(2), QuadraticRational.root(3)
+    for combine in (lambda x, y: x + y, lambda x, y: x - y,
+                    lambda x, y: x * y, lambda x, y: x / y,
+                    lambda x, y: x == y):
+        with pytest.raises(ValueError, match="d = 2 and d = 3"):
+            combine(root2, root3)
+    with pytest.raises(ValueError):
+        QuadraticRational(0, 1, -1) + root2
+
+
+def test_hash_agrees_with_equality():
+    assert hash(QuadraticRational(Fraction(3, 4), 0, -1)) == hash(Fraction(3, 4))
+    assert QuadraticRational(3, 0, 2) == 3
+    assert len({QuadraticRational(2, 1, -1), QuadraticRational(2, 1, -1)}) == 1
+    assert QuadraticRational.root(2) ** 3 == QuadraticRational(0, 2, 2)
+
+
+def test_surd_sign_is_exact():
+    root2 = QuadraticRational.root(2)
+    assert (root2 * root2).b == 0 and (root2 * root2).a == 2
+    assert (root2 * -2 + 3).sign() == 1          # 3 - 2 sqrt 2 > 0
+    assert (root2 * -1 + Fraction(141421356, 10 ** 8)).sign() == -1
+    assert (root2 * 0).sign() == 0
+    assert ((root2 + 1) / (root2 + -1)).sign() == 1
+    with pytest.raises(ValueError, match="complex"):
+        QuadraticRational.root(-3).sign()
+
+
+def test_detect_rational_basics():
+    assert QuadraticRational.root(Fraction(9, 16)).b == 0
+    assert QuadraticRational.root(Fraction(9, 16)).a == Fraction(3, 4)
+    assert QuadraticRational.root(0).b == 0
+    for d in (2, Fraction(1, 2), Fraction(8, 9), -4):
+        assert QuadraticRational.root(d).b == 1, d
 
 
 # ----------------------------------------------------------------------

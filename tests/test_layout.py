@@ -1,0 +1,52 @@
+"""Package layout: no module reaches into another module's private names.
+
+Each module of `src/logseries` is parsed with `ast`. The package imports
+its siblings relatively, so a `from .mod import _name`, or an attribute
+read `mod._name` through a module bound by `from . import mod`, is a
+private use and fails the test. A module's own private names are its
+business.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "logseries"
+
+
+def _private_uses(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    own = path.stem
+    siblings = {}  # local name -> sibling module name
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:
+                for alias in node.names:
+                    siblings[alias.asname or alias.name] = alias.name
+            elif node.level == 1 and node.module != own:
+                found += [f"from {node.module} import {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in siblings and siblings[node.value.id] != own \
+                and node.attr.startswith("_") and not node.attr.startswith("__"):
+            found.append(f"{siblings[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_module_uses_a_sibling_private_name():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    offenders = {path.name: uses for path in modules
+                 if (uses := _private_uses(path))}
+    assert offenders == {}
+
+
+def test_the_checker_sees_private_imports_and_reads(tmp_path):
+    bad = tmp_path / "probe.py"
+    bad.write_text("from .seriesdef import _hidden, Motive\n"
+                   "from . import binsplit as bs\n"
+                   "x = bs._leaf\n"
+                   "y = bs.evaluate\n")
+    assert _private_uses(bad) == ["from seriesdef import _hidden",
+                                  "binsplit._leaf"]
