@@ -26,6 +26,17 @@ arithmetic in libmpdec (`decimal`), whose number-theoretic-transform
 multiply and Newton division outrun int's at these sizes; an exact
 division there costs several multiplies, so that tree removes nothing.
 No step rounds: the decimal context traps any inexact result.
+
+At low precision that exact root is many times longer than the answer:
+d4(28) at 60 digits sums 5,094 terms into a 317,882-bit Q for about 230
+bits of digits. There `evaluate` encloses the sum instead. It cuts the
+range into blocks, each an exact int node from _range_node, folds them
+in order in fixed point at W bits with exact integer error radii
+(_enclose), and reads the floor from both ends of the enclosure,
+doubling W until they agree (_enclosed_floor). The size rule that picks
+this path, from the term count, the last term's size and W, is in
+_fixed_widths. Either way the floor is the same integer, so every
+printed digit is too.
 """
 
 from __future__ import annotations
@@ -51,6 +62,21 @@ LEAF_TERMS = 16
 # 0.76/0.76/0.80/0.86 s; log2-eq8, log2-eq9 and log10-tableI at 10^6
 # digits 28.4/25.8/24.7/23.9 s together.
 INT_LEAF_TERMS = 1024
+# evaluate encloses the sum in fixed point at W bits when the exact root
+# would be over FIXED_RATIO times longer than W and W is at most
+# FIXED_MAX_BITS (see _fixed_widths). Best of 3 runs (2 vCPUs, CPython
+# 3.11), exact against fixed, with that length over W in brackets, at
+# 10^4 digits: log2-eq8 0.017/0.020 s (3.0), log5-eq8b 0.023/0.025 s
+# (3.7), log3-eq8a 0.031/0.027 s (4.4), log10-tableI 0.041/0.034 s
+# (5.7), log7-tableI 0.099/0.069 s (13.6). At 19,000 digits (W near
+# 2^16) log10-tableI ties (0.095/0.097 s) and log7-tableI still wins
+# (0.26/0.22 s); at 30,000 digits both lose (0.13/0.21 s, 0.47/0.50 s),
+# as int's quadratic division falls behind libmpdec.
+FIXED_RATIO = 4
+FIXED_MAX_BITS = 1 << 16
+# Bits the first W keeps beyond those the requested digits and the
+# scale take; W doubles while an enclosure cannot decide the floor.
+FIXED_MARGIN_BITS = 64
 # Decimal(int) takes time quadratic in the length of the int; above this
 # many bits _to_decimal halves it at a power of two instead.
 CONVERT_BITS = 2048
@@ -234,6 +260,75 @@ def _decimal_node(comp: _Compiled, lo: int, hi: int,
     return SplitNode(None, left.Q * right.Q, left.T * right.Q + left.P * right.T)
 
 
+def _fixed_widths(comp: _Compiled, lo: int, hi: int, places: int):
+    """Working precisions W for enclosing [lo, hi), each with a block length.
+
+    Yields (W, step) in order. The first W covers 10^places, the scale's
+    n and d, and FIXED_MARGIN_BITS; each next one doubles it. The size
+    rule stops the sequence: W stays at most FIXED_MAX_BITS, and the term
+    count times the bits of the last term's Q factor, which bounds the
+    exact root's Q from above (before common factors go), must exceed
+    FIXED_RATIO * W. A block of `step` terms has a Q of about 2W bits:
+    in a profile of the 76 family members at 60 digits, blocks of W, 2W
+    and 4W bits took 0.20/0.17/0.17 s, 0.13 s of it the leaves' per-term
+    work.
+    """
+    n, d = comp.scale.numerator, comp.scale.denominator
+    width = (math.ceil(places * math.log2(10)) + n.bit_length()
+             + d.bit_length() + FIXED_MARGIN_BITS)
+    k = hi - 1 + comp.shift
+    q_bits = math.prod((b * k + s for b, s in comp.bot),
+                       start=comp.y_const).bit_length()
+    while width <= FIXED_MAX_BITS and (hi - lo) * q_bits > FIXED_RATIO * width:
+        yield width, max(1, 2 * width // q_bits)
+        width *= 2
+
+
+def _enclose(comp: _Compiled, lo: int, hi: int, width: int,
+             step: int) -> tuple[int, int]:
+    """(S, eS) with |S - 2^width * T/Q| <= eS, (P, Q, T) the node of [lo, hi).
+
+    The blocks of `step` terms come exact from _range_node and fold in
+    order, since T/Q is the sum of each block's t/q times the p/q of
+    every block before it. R stands for 2^width times that product, with
+    |R - 2^width * product| <= eR, from R = 2^width and eR = 0. A block
+    (p, q, t) adds floor(R*t/q) to S and ceil(eR*|t|/q) + 1 to eS, then
+    sets R = floor(R*p/q) and eR = ceil(eR*|p|/q) + 1: each floor drops
+    less than 1, and R's error scales by the block's ratio. Every factor
+    of Q is positive, so q > 0.
+    """
+    r, er, s, es = 1 << width, 0, 0, 0
+    for a in range(lo, hi, step):
+        block = _range_node(comp, a, min(a + step, hi))
+        p, q, t = block.P, block.Q, block.T
+        s += r * t // q
+        es += -(-er * abs(t) // q) + 1
+        r = r * p // q
+        er = -(-er * abs(p) // q) + 1
+    return s, es
+
+
+def _enclosed_floor(comp: _Compiled, lo: int, hi: int, places: int):
+    """(neg, floor(|n*T| * 10^places / (d*Q))) for the node (P, Q, T) of
+    [lo, hi) and the scale n/d, from fixed-point enclosures, or None when
+    no W the size rule allows decides it.
+
+    scale * T/Q lies in n*[S - eS, S + eS] / (d * 2^W). When both ends
+    have one sign and one floor, as machin.log_decimal pins its digits,
+    the exact value has them too; otherwise W doubles.
+    """
+    n, d = comp.scale.numerator, comp.scale.denominator
+    for width, step in _fixed_widths(comp, lo, hi, places):
+        s, e = _enclose(comp, lo, hi, width, step)
+        low, high = sorted((n * (s - e), n * (s + e)))
+        if low > 0 or high < 0:
+            unit, ten = d << width, 10 ** places
+            a, b = sorted(abs(v) * ten // unit for v in (low, high))
+            if a == b:
+                return high < 0, a
+    return None
+
+
 def split_range(spec: SeriesSpec, lo: int, hi: int) -> SplitNode:
     """Exact node for terms lo..hi-1 of the series."""
     if not spec.start_index <= lo < hi:
@@ -275,6 +370,15 @@ def evaluate(spec: SeriesSpec, digits: int) -> DigitsResult:
     boundary can never leak a wrong digit. At
     rho = 0 the series is a finite sum, so its value is exact and needs
     no guard test.
+
+    With n/d the scale, (P, Q, T) the node of the first N terms and E
+    the digits plus the guard, scaled = floor(|n*T| * 10^E / |d*Q|)
+    comes one of two ways. When the size rule (_fixed_widths) picks it,
+    from a fixed-point enclosure at W bits whose two ends give one sign
+    and one floor (_enclosed_floor), W doubling until they do. Otherwise,
+    or once the rule no longer allows a larger W, from one exact libmpdec
+    division of the decimal root. Both yield the same integer, so the
+    path changes no digit.
     """
     if digits < 1:
         raise ValueError("need at least one digit")
@@ -287,13 +391,18 @@ def evaluate(spec: SeriesSpec, digits: int) -> DigitsResult:
     with decimal.localcontext(_EXACT):
         while True:
             slack = guard + comp.coeff_digits + 10
-            n_terms = estimate_terms(spec, digits + slack)
-            root = _decimal_node(comp, lo, lo + n_terms, keep_p=False)
-            num, den = n * root.T, d * root.Q
-            del root  # the division is the memory peak; drop P, Q, T
-            neg = num != 0 and (num < 0) != (den < 0)
-            scaled = abs(num).scaleb(digits + guard) // abs(den)
-            del num, den
+            hi = lo + estimate_terms(spec, digits + slack)
+            found = _enclosed_floor(comp, lo, hi, digits + guard)
+            if found is not None:
+                # an int of any length; str(int) refuses long ones
+                neg, scaled = found[0], _to_decimal(found[1])
+            else:
+                root = _decimal_node(comp, lo, hi, keep_p=False)
+                num, den = n * root.T, d * root.Q
+                del root  # the division is the memory peak; drop P, Q, T
+                neg = num != 0 and (num < 0) != (den < 0)
+                scaled = abs(num).scaleb(digits + guard) // abs(den)
+                del num, den
             ten_guard = decimal.Decimal(10) ** guard
             window = scaled % ten_guard
             if spec.motive.rho == 0 or window not in (0, ten_guard - 1):
@@ -328,20 +437,26 @@ def cross_verify(spec_a: SeriesSpec, spec_b: SeriesSpec, digits: int,
     else:
         ra = result_a
     rb = evaluate(spec_b, digits)
-    agree = 0
-    for pos, (ca, cb) in enumerate(zip(ra.decimal_digits, rb.decimal_digits)):
-        if ca != cb:
-            raise VerificationError(
-                f"{spec_a.label} and {spec_b.label} differ at character "
-                f"{pos} after agreeing on {agree} digits "
-                f"(requested {digits})")
-        if ca.isdigit():
-            agree += 1
+    text_a, text_b = ra.decimal_digits, rb.decimal_digits
+    # the texts hold digits, '.' and '-'; walk them only on a mismatch
+    common = min(len(text_a), len(text_b))
+    if text_a[:common] != text_b[:common]:
+        pos = next(i for i, (ca, cb) in enumerate(zip(text_a, text_b))
+                   if ca != cb)
+        raise VerificationError(
+            f"{spec_a.label} and {spec_b.label} differ at character "
+            f"{pos} after agreeing on {_digit_count(text_a, pos)} digits "
+            f"(requested {digits})")
+    agree = _digit_count(text_a, common)
     if agree < digits:
         raise VerificationError(
             f"{spec_a.label} and {spec_b.label}: only {agree} comparable "
             f"digits, requested {digits}")
     return agree
+
+
+def _digit_count(text: str, end: int) -> int:
+    return end - text.count(".", 0, end) - text.count("-", 0, end)
 
 
 def render_digit_rows(result: DigitsResult) -> str:

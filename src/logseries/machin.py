@@ -92,8 +92,11 @@ def log_interval(x, scale):
 def log_decimal(x, digits):
     """log(x) as a decimal string, truncated to `digits` fractional digits.
 
-    The result is the exact floor of log(x) * 10**digits; the guard width
-    grows until the enclosure pins every requested digit down.
+    The text is the sign, then the exact floor of |log(x)| * 10**digits,
+    so for x < 1 the value is truncated toward zero, not floored: log(1/2)
+    at 20 places ends in ...941, where the floor ends in ...942. The
+    guard width grows until the enclosure pins every requested digit
+    down.
     """
     x = Fraction(x)
     if x <= 0:

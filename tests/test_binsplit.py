@@ -290,3 +290,135 @@ def test_cross_verify_reuses_a_precomputed_result(monkeypatch):
     assert calls == ["log3-eq8a"]
     with pytest.raises(ValueError):
         bs.cross_verify(spec_b, spec_a, 50, result_a)
+
+
+def test_cross_verify_message_names_the_first_difference_exactly(monkeypatch):
+    spec_a, spec_b = sd.catalog_get("log2-eq8"), sd.catalog_get("log2-eq9")
+    result_a = bs.evaluate(spec_a, 50)
+    text = result_a.decimal_digits
+    real = bs.evaluate
+
+    def evaluate_as(changed):
+        return lambda spec, digits: bs.DigitsResult(
+            changed, 2, spec.label, digits)
+
+    # character 30 of "0.6931..." is the 29th fractional digit
+    wrong = text[:30] + str((int(text[30]) + 1) % 10) + text[31:]
+    monkeypatch.setattr(bs, "evaluate", evaluate_as(wrong))
+    with pytest.raises(bs.VerificationError) as info:
+        bs.cross_verify(spec_a, spec_b, 50, result_a)
+    assert str(info.value) == ("log2-eq8 and log2-eq9 differ at character 30 "
+                               "after agreeing on 29 digits (requested 50)")
+    # a prefix differs nowhere, so only the count fails
+    monkeypatch.setattr(bs, "evaluate", evaluate_as(text[:42]))
+    with pytest.raises(bs.VerificationError) as info:
+        bs.cross_verify(spec_a, spec_b, 50, result_a)
+    assert str(info.value) == ("log2-eq8 and log2-eq9: only 41 comparable "
+                               "digits, requested 50")
+    monkeypatch.setattr(bs, "evaluate", real)
+    assert bs.cross_verify(spec_a, spec_b, 50, result_a) == 51
+
+
+# ----------------------------------------------------------------------
+#  fixed-point enclosure at low precision
+# ----------------------------------------------------------------------
+
+def first_terms(spec, digits):
+    """evaluate's first range [lo, hi) and E for `digits` (guard 10)."""
+    comp = bs._compiled(spec)
+    lo = spec.start_index
+    hi = lo + sd.estimate_terms(spec, digits + 20 + comp.coeff_digits)
+    return comp, lo, hi, digits + 10
+
+
+def tall(spec, factor=10 ** 12):
+    """The same series with every numerator coefficient `factor` times
+    taller, so each block's |t|/q is about `factor` times larger."""
+    return sd.SeriesSpec(spec.motive, spec.numerator_poly * factor,
+                         spec.denominator_scale, spec.normalizer / factor,
+                         spec.start_index, spec.label + "-tall")
+
+
+def test_enclosure_holds_the_exact_sum():
+    # a negative rate near -1, tall coefficients, an x < 1 member, a
+    # catalog row; one block over the whole range and blocks of 1 term
+    cases = [(sd.level2_series(21), 1), (sd.d6_family(17), 1),
+             (sd.d4_family(Fraction(1, 2)), 1),
+             (sd.catalog_get("log7-tableI"), 1),
+             (tall(sd.level2_series(21)), 10 ** 12),
+             (tall(sd.level1_series(Fraction(2, 3))), 10 ** 12)]
+    for spec, height in cases:
+        comp = bs._compiled(spec)
+        lo = spec.start_index
+        hi = lo + 120
+        node = bs._range_node(comp, lo, hi)
+        for width in (30, 200):
+            for step in (1, 5, bs.LEAF_TERMS, 40, hi - lo):
+                s, e = bs._enclose(comp, lo, hi, width, step)
+                blocks = -(-(hi - lo) // step)
+                where = (spec.label, width, step)
+                assert abs(s * node.Q - (node.T << width)) <= e * node.Q, where
+                assert e <= 2 * height * blocks, where
+
+
+@pytest.fixture
+def enclose_calls(monkeypatch):
+    """The (comp, lo, hi, width, step) of every _enclose call."""
+    calls = []
+    real = bs._enclose
+    monkeypatch.setattr(bs, "_enclose",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_undecided_width_doubles_without_changing_digits(monkeypatch,
+                                                         enclose_calls):
+    spec = sd.d4_family(28)
+    want = bs.evaluate(spec, 60).decimal_digits
+    # 100 bits short of what the digits need: the first W cannot decide
+    monkeypatch.setattr(bs, "FIXED_MARGIN_BITS", -100)
+    enclose_calls.clear()
+    assert bs.evaluate(spec, 60).decimal_digits == want
+    widths = [call[3] for call in enclose_calls]
+    assert len(widths) >= 2 and widths[1] == 2 * widths[0]
+    # no larger W allowed: the exact root decides
+    monkeypatch.setattr(bs, "FIXED_MAX_BITS", widths[0])
+    enclose_calls.clear()
+    assert bs.evaluate(spec, 60).decimal_digits == want
+    assert [call[3] for call in enclose_calls] == widths[:1]
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+def test_fixed_and_exact_paths_print_the_same_digits(monkeypatch,
+                                                     enclose_calls, digits):
+    specs = [sd.level1_series(13), sd.level2_series(21), sd.d4_family(28),
+             sd.d6_family(17)]
+    fixed = [bs.evaluate(spec, digits).decimal_digits for spec in specs]
+    assert len(enclose_calls) >= len(specs)
+    monkeypatch.setattr(bs, "FIXED_MAX_BITS", 0)
+    exact = [bs.evaluate(spec, digits).decimal_digits for spec in specs]
+    assert fixed == exact
+    assert fixed[0] == machin.log_decimal(13, digits)
+
+
+def test_size_rule_picks_the_path_from_sizes():
+    def fixed(spec, digits):
+        return list(bs._fixed_widths(*first_terms(spec, digits)))
+
+    # 10^5 digits: W is above FIXED_MAX_BITS
+    assert not fixed(sd.catalog_get("log2-eq8"), 100_000)
+    assert not fixed(sd.catalog_get("log2-eq9"), 100_000)
+    # the root of log2-eq8 is about 3 W at 10^4 digits, log7-tableI's 13 W
+    assert not fixed(sd.catalog_get("log2-eq8"), 10_000)
+    assert fixed(sd.catalog_get("log7-tableI"), 10_000)
+    # hundreds of times longer than W at 60 digits
+    assert fixed(sd.d4_family(28), 60)
+    assert fixed(sd.level2_series(21), 60)
+
+
+def test_fixed_path_renders_more_than_4300_digits(enclose_calls):
+    # str(int) refuses over 4,300 digits by default; log7-tableI's root
+    # is about 13 W at 5,000 digits, so the enclosure computes them
+    got = bs.evaluate(sd.catalog_get("log7-tableI"), 5000).decimal_digits
+    assert enclose_calls
+    assert got == machin.log_decimal(7, 5000)
