@@ -9,7 +9,10 @@ The usual entry points:
 
     seriesdef.catalog_get(label)    a ready-made series by name
     binsplit.evaluate(spec, digits) its decimal expansion
-    binsplit.cross_verify(a, b, d)  two series against each other
+    binsplit.cross_verify(a, b, d)  (a's digits, how many b confirms);
+                                    b runs in a child process when 2 or
+                                    more CPUs are usable, with
+                                    byte-identical output
     relsearch.search(...)           hunt for new series
     altseries.scan_range(lo, hi)    alternating series with rational rates
     wzcert / betaproof              certificates and integral proofs

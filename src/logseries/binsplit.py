@@ -37,12 +37,22 @@ doubling W until they agree (_enclosed_floor). The size rule that picks
 this path, from the term count, the last term's size and W, is in
 _fixed_widths. Either way the floor is the same integer, so every
 printed digit is too.
+
+`cross_verify` returns (result, agreed): evaluate(spec_a) and how many
+of its leading digits spec_b confirms. The two evaluations share
+nothing, so with 2 or more usable CPUs spec_b runs in a forked child
+that sends back only its digit text through a pipe, while the caller
+evaluates spec_a; with one CPU, no os.fork or other threads running,
+both run in-process. The output, the count and every error are
+byte-identical either way.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -419,25 +429,27 @@ def evaluate(spec: SeriesSpec, digits: int) -> DigitsResult:
     )
 
 
-def cross_verify(spec_a: SeriesSpec, spec_b: SeriesSpec, digits: int,
-                 result_a: DigitsResult | None = None) -> int:
-    """Count agreeing leading digits of two series for the same constant.
+def cross_verify(spec_a: SeriesSpec, spec_b: SeriesSpec,
+                 digits: int) -> tuple[DigitsResult, int]:
+    """evaluate(spec_a, digits) and the count of its leading digits that
+    spec_b's expansion confirms, for two series of the same constant.
 
-    Raises VerificationError (naming the first differing position) if
-    they agree to fewer than `digits` places. A caller that already has
-    evaluate(spec_a, digits) passes it as `result_a` to skip evaluating
-    spec_a again.
+    With 2 or more usable CPUs, spec_b runs in a forked child process
+    while this one evaluates spec_a (_evaluate_beside). Otherwise, or
+    when this process runs more than one thread (a fork copies only the
+    calling thread, so a lock another one holds would stay held in the
+    child), both run here, one after the other. The digits, the count
+    and every error are the same either way. Raises VerificationError
+    (naming the first differing position) if they agree to fewer than
+    `digits` places.
     """
-    if result_a is None:
-        ra = evaluate(spec_a, digits)
-    elif (result_a.series_label, result_a.requested_digits) != (spec_a.label,
-                                                                digits):
-        raise ValueError(f"result_a is not the {digits}-digit evaluation "
-                         f"of {spec_a.label}")
+    if (hasattr(os, "fork") and _usable_cpus() >= 2
+            and threading.active_count() == 1):
+        ra, text_b = _evaluate_beside(spec_a, spec_b, digits)
     else:
-        ra = result_a
-    rb = evaluate(spec_b, digits)
-    text_a, text_b = ra.decimal_digits, rb.decimal_digits
+        ra = evaluate(spec_a, digits)
+        text_b = evaluate(spec_b, digits).decimal_digits
+    text_a = ra.decimal_digits
     # the texts hold digits, '.' and '-'; walk them only on a mismatch
     common = min(len(text_a), len(text_b))
     if text_a[:common] != text_b[:common]:
@@ -452,7 +464,74 @@ def cross_verify(spec_a: SeriesSpec, spec_b: SeriesSpec, digits: int,
         raise VerificationError(
             f"{spec_a.label} and {spec_b.label}: only {agree} comparable "
             f"digits, requested {digits}")
-    return agree
+    return ra, agree
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _evaluate_beside(spec_a: SeriesSpec, spec_b: SeriesSpec,
+                     digits: int) -> tuple[DigitsResult, str]:
+    """(evaluate(spec_a, digits), evaluate(spec_b, digits).decimal_digits),
+    the second from a forked child while this process computes the first.
+
+    The child writes one kind byte and a text to a pipe: "=" and the
+    digits, "V" and a ValueError's message, or "R" and any other
+    exception's type and message; here they come back as the digits, a
+    ValueError or a RuntimeError. A child that dies before it has
+    written raises RuntimeError naming its exit status. The pipe is read
+    to EOF before the child is reaped, since 10^5 digits overflow its
+    buffer. If this side fails, the child is killed and reaped first.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # never return: the caller's stack (a test runner, a benchmark
+        # worker) must not resume in the child
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = b"=" + evaluate(spec_b, digits).decimal_digits.encode()
+            except ValueError as exc:
+                payload = b"V" + str(exc).encode()
+            except BaseException as exc:
+                payload = b"R" + f"{type(exc).__name__}: {exc}".encode()
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0 if payload[:1] == b"=" else 1
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            ra = evaluate(spec_a, digits)
+            payload = pipe.read()
+        except BaseException:
+            from signal import SIGKILL
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    kind, text = payload[:1], payload[1:].decode(errors="replace")
+    if kind == b"V":
+        raise ValueError(text)
+    if kind == b"R":
+        raise RuntimeError(text)
+    if kind != b"=" or code != 0:
+        ended = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise RuntimeError(f"the process evaluating {spec_b.label} ended "
+                           f"with {ended} before sending its digits")
+    return ra, text
 
 
 def _digit_count(text: str, end: int) -> int:

@@ -80,10 +80,12 @@ def _cmd_compute(args):
             raise UsageError(f"series {args.verify} does not compute "
                              f"log({target})")
 
-    result = binsplit.evaluate(spec, args.digits)
+    if args.verify:
+        result, agreed = binsplit.cross_verify(spec, other, args.digits)
+    else:
+        result = binsplit.evaluate(spec, args.digits)
     lines = [binsplit.render_digit_rows(result)]
     if args.verify:
-        agreed = binsplit.cross_verify(spec, other, args.digits, result)
         lines.append(f"# verified against {args.verify}: "
                      f"first {agreed} digits agree")
     _emit("\n".join(lines), args.out)
@@ -390,8 +392,11 @@ def run(argv=None):
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, ZeroDivisionError, OSError,
-            RuntimeError) as exc:
+    except OSError as exc:
+        # args[0] is the errno; str(exc) names the reason and the path
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, KeyError, ZeroDivisionError, RuntimeError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1

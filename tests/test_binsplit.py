@@ -1,6 +1,9 @@
 import decimal
 import math
+import os
 import random
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,11 +189,11 @@ def test_evaluate_rejects_bad_input():
 
 
 def test_cross_verify_same_constant():
-    n = bs.cross_verify(sd.catalog_get("log2-eq8"),
-                        sd.catalog_get("log2-eq9"), 500)
+    spec = sd.catalog_get("log2-eq8")
+    result, n = bs.cross_verify(spec, sd.catalog_get("log2-eq9"), 500)
     assert n >= 500
-    n = bs.cross_verify(sd.catalog_get("log2-eq8"),
-                        sd.catalog_get("log2-eq8"), 100)
+    assert result == bs.evaluate(spec, 500)
+    _, n = bs.cross_verify(spec, spec, 100)
     assert n >= 100
 
 
@@ -277,21 +280,6 @@ def test_caller_decimal_context_is_neither_read_nor_changed():
     assert got == want
 
 
-def test_cross_verify_reuses_a_precomputed_result(monkeypatch):
-    spec_a, spec_b = sd.catalog_get("log2-eq8"), sd.catalog_get("log3-eq8a")
-    result_a = bs.evaluate(spec_a, 50)
-    calls = []
-    real = bs.evaluate
-    monkeypatch.setattr(bs, "evaluate",
-                        lambda spec, digits: calls.append(spec.label)
-                        or real(spec, digits))
-    with pytest.raises(bs.VerificationError):
-        bs.cross_verify(spec_a, spec_b, 50, result_a)
-    assert calls == ["log3-eq8a"]
-    with pytest.raises(ValueError):
-        bs.cross_verify(spec_b, spec_a, 50, result_a)
-
-
 def test_cross_verify_message_names_the_first_difference_exactly(monkeypatch):
     spec_a, spec_b = sd.catalog_get("log2-eq8"), sd.catalog_get("log2-eq9")
     result_a = bs.evaluate(spec_a, 50)
@@ -299,24 +287,155 @@ def test_cross_verify_message_names_the_first_difference_exactly(monkeypatch):
     real = bs.evaluate
 
     def evaluate_as(changed):
+        # the forked child inherits the patch, so spec_b gets `changed`
         return lambda spec, digits: bs.DigitsResult(
-            changed, 2, spec.label, digits)
+            text if spec is spec_a else changed, 2, spec.label, digits)
 
     # character 30 of "0.6931..." is the 29th fractional digit
     wrong = text[:30] + str((int(text[30]) + 1) % 10) + text[31:]
     monkeypatch.setattr(bs, "evaluate", evaluate_as(wrong))
     with pytest.raises(bs.VerificationError) as info:
-        bs.cross_verify(spec_a, spec_b, 50, result_a)
+        bs.cross_verify(spec_a, spec_b, 50)
     assert str(info.value) == ("log2-eq8 and log2-eq9 differ at character 30 "
                                "after agreeing on 29 digits (requested 50)")
     # a prefix differs nowhere, so only the count fails
     monkeypatch.setattr(bs, "evaluate", evaluate_as(text[:42]))
     with pytest.raises(bs.VerificationError) as info:
-        bs.cross_verify(spec_a, spec_b, 50, result_a)
+        bs.cross_verify(spec_a, spec_b, 50)
     assert str(info.value) == ("log2-eq8 and log2-eq9: only 41 comparable "
                                "digits, requested 50")
     monkeypatch.setattr(bs, "evaluate", real)
-    assert bs.cross_verify(spec_a, spec_b, 50, result_a) == 51
+    assert bs.cross_verify(spec_a, spec_b, 50) == (result_a, 51)
+
+
+# ----------------------------------------------------------------------
+#  the check series in a second process
+# ----------------------------------------------------------------------
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Forces cross_verify's two-process path whatever the CPU count,
+    and counts the forks."""
+    count = []
+    real_fork = os.fork
+
+    def fork():
+        count.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(bs, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    return count
+
+
+def evaluate_failing(monkeypatch, spec_b, fail):
+    """Patches evaluate so that spec_b calls `fail` instead (in the
+    child, which inherits the patch)."""
+    real = bs.evaluate
+    monkeypatch.setattr(bs, "evaluate", lambda spec, digits: (
+        fail() if spec is spec_b else real(spec, digits)))
+
+
+def test_two_processes_give_the_serial_result(forks):
+    spec_a, spec_b = sd.catalog_get("log2-eq8"), sd.catalog_get("log2-eq9")
+    assert bs.cross_verify(spec_a, spec_b, 3000) == (
+        bs.evaluate(spec_a, 3000), 3001)
+    assert len(forks) == 1
+    assert_no_child_left()
+    with pytest.raises(bs.VerificationError):
+        bs.cross_verify(spec_a, sd.catalog_get("log3-eq8a"), 50)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_digits_longer_than_the_pipe_buffer_arrive_whole(forks):
+    spec_a, spec_b = sd.catalog_get("log2-eq8"), sd.catalog_get("log2-eq9")
+    result, agreed = bs.cross_verify(spec_a, spec_b, 100_000)
+    assert agreed == 100_001
+    assert len(result.decimal_digits) == 100_002
+    assert_no_child_left()
+
+
+def test_one_usable_cpu_forks_nothing(forks, monkeypatch):
+    spec_a, spec_b = sd.catalog_get("log2-eq8"), sd.catalog_get("log2-eq9")
+    want = bs.cross_verify(spec_a, spec_b, 2000)
+    assert len(forks) == 1
+
+    def refuse():
+        raise AssertionError("forked with one usable CPU")
+
+    monkeypatch.setattr(bs, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert bs.cross_verify(spec_a, spec_b, 2000) == want
+    assert_no_child_left()
+
+
+def test_other_threads_fork_nothing(forks):
+    spec_a, spec_b = sd.catalog_get("log2-eq8"), sd.catalog_get("log2-eq9")
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    waiter.start()
+    try:
+        assert bs.cross_verify(spec_a, spec_b, 200)[1] == 201
+    finally:
+        release.set()
+        waiter.join(30)
+    assert not waiter.is_alive()
+    assert forks == []
+
+
+def test_a_failure_here_kills_and_reaps_the_child(forks, monkeypatch):
+    spec_a, spec_b = sd.catalog_get("log2-eq8"), sd.catalog_get("log2-eq9")
+    real = bs.evaluate
+
+    def evaluate(spec, digits):
+        if spec is spec_a:
+            raise ValueError("the first series failed")
+        time.sleep(60)  # still running when the parent fails
+        return real(spec, digits)
+
+    monkeypatch.setattr(bs, "evaluate", evaluate)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^the first series failed$"):
+        bs.cross_verify(spec_a, spec_b, 50)
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_dead_child_is_reported_with_its_exit_status(forks, monkeypatch):
+    spec_a, spec_b = sd.catalog_get("log2-eq8"), sd.catalog_get("log2-eq9")
+    evaluate_failing(monkeypatch, spec_b, lambda: os._exit(3))
+    with pytest.raises(RuntimeError) as info:
+        bs.cross_verify(spec_a, spec_b, 50)
+    assert str(info.value) == ("the process evaluating log2-eq9 ended with "
+                               "exit status 3 before sending its digits")
+    assert_no_child_left()
+
+
+def test_an_exception_in_the_child_keeps_its_message(forks, monkeypatch):
+    spec_a, spec_b = sd.catalog_get("log2-eq8"), sd.catalog_get("log2-eq9")
+
+    def value_error():
+        raise ValueError("log2-eq9: series diverges")
+
+    def key_error():
+        raise KeyError("log2-eq9")
+
+    evaluate_failing(monkeypatch, spec_b, value_error)
+    with pytest.raises(ValueError, match="^log2-eq9: series diverges$"):
+        bs.cross_verify(spec_a, spec_b, 50)
+    assert_no_child_left()
+    evaluate_failing(monkeypatch, spec_b, key_error)
+    with pytest.raises(RuntimeError, match="^KeyError: 'log2-eq9'$"):
+        bs.cross_verify(spec_a, spec_b, 50)
+    assert_no_child_left()
+    assert len(forks) == 2
 
 
 # ----------------------------------------------------------------------

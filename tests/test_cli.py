@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import logseries
 from logseries import altseries, binsplit, cli, machin
 
@@ -50,18 +52,41 @@ def test_compute_verification_line(capsys):
     assert "digits agree" in out
 
 
-def test_compute_verify_evaluates_each_series_once(capsys, monkeypatch):
-    calls = []
+def test_compute_verify_evaluates_each_series_once(capsys, monkeypatch,
+                                                  tmp_path):
+    # the check series may run in a child process, so the calls are
+    # counted in a file both processes append to
+    log = tmp_path / "calls"
     real = binsplit.evaluate
-    monkeypatch.setattr(binsplit, "evaluate",
-                        lambda spec, digits: calls.append(spec.label)
-                        or real(spec, digits))
+
+    def evaluate(spec, digits):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(spec.label + "\n")
+        return real(spec, digits)
+
+    monkeypatch.setattr(binsplit, "evaluate", evaluate)
     code, out, _ = invoke(capsys, ["compute", "--p", "2", "--digits", "200",
                                    "--series", "log2-eq8",
                                    "--verify", "log2-eq9"])
     assert code == 0
     assert "# verified against log2-eq9" in out
+    calls = log.read_text(encoding="utf-8").split()
     assert sorted(calls) == ["log2-eq8", "log2-eq9"]
+
+
+def test_compute_verify_dead_check_process_is_an_error(capsys, monkeypatch):
+    real = binsplit.evaluate
+    monkeypatch.setattr(binsplit, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(binsplit, "evaluate", lambda spec, digits: (
+        os._exit(3) if spec.label == "log2-eq9" else real(spec, digits)))
+    code, out, err = invoke(capsys, ["compute", "--p", "2", "--digits", "50",
+                                     "--series", "log2-eq8",
+                                     "--verify", "log2-eq9"])
+    assert (code, out) == (1, "")
+    assert err == ("error: the process evaluating log2-eq9 ended with exit "
+                   "status 3 before sending its digits\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _evaluate_must_not_run(monkeypatch):
@@ -128,6 +153,14 @@ def test_compute_writes_out_file(capsys, tmp_path):
     assert out == ""
     text = path.read_text(encoding="utf-8")
     assert digits_from_rows(text) == machin.log_decimal(2, 60)
+
+
+def test_compute_unwritable_out_file_names_path_and_reason(capsys, tmp_path):
+    path = tmp_path / "missing" / "digits.txt"
+    code, out, err = invoke(capsys, ["compute", "--p", "2", "--digits", "10",
+                                     "--out", str(path)])
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
 
 # ----------------------------------------------------------------------

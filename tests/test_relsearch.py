@@ -301,11 +301,11 @@ def test_candidate_residual_meets_the_detection_bound(log3_search):
 
 def test_candidate_series_matches_the_catalog(log3_search, log2_search):
     from logseries import binsplit
-    got = binsplit.cross_verify(log3_search[0].series,
-                                catalog_get("log3-eq8a"), 60)
+    _, got = binsplit.cross_verify(log3_search[0].series,
+                                   catalog_get("log3-eq8a"), 60)
     assert got >= 60
-    got = binsplit.cross_verify(log2_search[0].series,
-                                catalog_get("log2-eq8"), 60)
+    _, got = binsplit.cross_verify(log2_search[0].series,
+                                   catalog_get("log2-eq8"), 60)
     assert got >= 60
 
 
@@ -329,7 +329,7 @@ def test_search_rediscovers_a_degree4_series(label):
                                   cost_bound=2.0)
     found = rs.search(spec.motive, _log_fixed(2, 400, 1300), 1, strategy)
     assert [(c.rho, c.coefficients) for c in found] == [(rho, coefficients)]
-    assert binsplit.cross_verify(found[0].series, spec, 60) >= 60
+    assert binsplit.cross_verify(found[0].series, spec, 60)[1] >= 60
 
 
 def test_search_rediscovers_a_degree6_series(monkeypatch):
@@ -344,7 +344,7 @@ def test_search_rediscovers_a_degree6_series(monkeypatch):
                     -169950180480, 81969540480)
     assert [(c.rho, c.coefficients) for c in found] == \
         [(Fraction(1, 355770576), coefficients)]
-    assert binsplit.cross_verify(found[0].series, spec, 60) >= 60
+    assert binsplit.cross_verify(found[0].series, spec, 60)[1] >= 60
     # the norm bound lets no lattice noise through at the other points
     assert len(results) == 114
     assert sum(r is not None for r in results) <= 1
