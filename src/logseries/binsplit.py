@@ -135,7 +135,7 @@ class SplitNode:
     @property
     def B(self) -> int:
         # Only the benchmark's split-tree probe reads this, from the time
-        # nodes carried a denominator product; ROADMAP item 4 deletes it.
+        # nodes carried a denominator product; ROADMAP item 6 deletes it.
         return 1
 
 

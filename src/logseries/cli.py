@@ -154,11 +154,9 @@ def _cmd_search(args):
 # ----------------------------------------------------------------------
 
 def _cmd_wz_verify(args):
-    labels = wzcert.certificate_labels()
-    if args.p is not None:
-        labels = [lab for lab in labels if lab.startswith(f"log{args.p}-")]
-        if not labels:
-            raise ValueError(f"no certificates for log({args.p})")
+    labels = wzcert.certificate_labels(args.p)
+    if not labels:
+        raise ValueError(f"no certificates for log({args.p})")
     digits = args.digits
     n_terms = int(digits * 1.7) + 15
     bits = int(digits * relsearch.LOG2_10) + 64
@@ -167,7 +165,7 @@ def _cmd_wz_verify(args):
         cert = wzcert.certificate_get(label)
         report = wzcert.certificate_telescoping_check(cert, args.grid, args.grid)
         value = wzcert.gst_series_sum(cert, n_terms, bits)
-        p = int(label[len("log"):].partition("-")[0])
+        p = cert.context.target
         want = Fraction(Decimal(machin.log_decimal(p, digits + 12)))
         close = abs(value.log_value.to_fraction() - want) < Fraction(1, 10 ** digits)
         ok = report.passed and close
@@ -378,10 +376,13 @@ def _build_parser():
     return parser
 
 
+# built once per process: each parse leaves the parser as it found it
+_PARSER = _build_parser()
+
+
 def run(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -14,35 +14,27 @@ constant in Q(i) times a ratio of integer linear factors:
 
     A - 1 = R(n, k+1) B - R(n, k).
 
-`certificate_telescoping_check` tests this form exactly at every point
-of a finite grid. That is an exact check on the grid, not a proof of
-the identity: no degree bound ties the grid to all (n, k) yet. The same
-ratios build the certificate sum along n, so the closed form `base_f` is
-evaluated only where that walk starts. No code checks the WZ limit
-conditions (the row sums over k must vanish as n grows), so a
-`wz-verify` line covers only the grid telescoping and the agreement of
-the certificate sum with log p.
-Everything here is exact: the beta values are rationals, and the
-parameters, step constants and certificates are `QuadraticRational`s
-over Q(i) (d = -1), so a telescoping check either passes identically
-or names the failing grid points.
+Each registry certificate is derived from its (variant, p, s, t): this
+form is linear in the coefficients of R's quadratic numerator, and six
+points fix them. `certificate_telescoping_check` then tests the form
+exactly at every point of a finite grid. That is an exact check on the
+grid, not a proof of the identity: no degree bound ties the grid to all
+(n, k) yet. The same ratios build the certificate sum along n, so the
+closed form `base_f` is evaluated only where that walk starts. No code
+checks the WZ limit conditions (the row sums over k must vanish as n
+grows), so a `wz-verify` line covers only the grid telescoping and the
+agreement of the certificate sum with log p. All arithmetic is exact,
+in Q(i) (`QuadraticRational` at d = -1).
 """
-
-from __future__ import annotations
 
 import dataclasses
 import functools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 from typing import Callable
 
 from .exactnum import FixedReal, QuadraticRational
-
-
-def _as_parameter(p):
-    if isinstance(p, QuadraticRational):
-        return p
-    return QuadraticRational(p, 0, -1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,7 +54,8 @@ class WZContext:
     t: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _as_parameter(self.p))
+        if not isinstance(self.p, QuadraticRational):
+            object.__setattr__(self, "p", QuadraticRational(self.p, 0, -1))
         if self.variant not in (1, 2):
             raise ValueError("variant must be 1 or 2")
         if self.s < 1 or self.t < 0:
@@ -75,10 +68,15 @@ class WZContext:
         if p.d != -1 or not ok:
             raise ValueError(f"unsupported companion parameter {p!r}")
 
+    @property
+    def target(self):
+        """The integer whose log the sum reaches: p, or the norm of a complex p."""
+        return int(self.p.a if self.p.is_rational() else self.p.norm())
+
     # One step of base_f from (N, K) multiplies by a constant in Q(i) and
     # a ratio of linear factors over 2N + 2K + 3: 2N + 3 - variant for an
     # n-step, 2K + variant for a k-step. The constants are computed on
-    # first use, not when the certificate registry is built at import.
+    # first use.
 
     def _base_step_constants(self):
         p = self.p
@@ -284,88 +282,83 @@ def gst_series_sum(cert, n_terms, bits):
 
 
 # ----------------------------------------------------------------------
-#  The printed certificates
+#  Certificates derived from (variant, p, s, t)
 # ----------------------------------------------------------------------
 
-def _grid_factor(n, k):
-    return (6 * n + 2 * k + 3) * (6 * n + 2 * k + 5)
+_REGISTRY = {
+    "log2-s2t1": (1, 2, 2, 1),
+    "log2-s1t2": (2, 2, 1, 2),
+    "log3-s2t1": (1, 3, 2, 1),
+    "log3-s1t2": (2, 3, 1, 2),
+    "log5-s2t1+i": (1, QuadraticRational(2, 1, -1), 2, 1),
+    "log5-s1t2+i": (2, QuadraticRational(2, 1, -1), 1, 2),
+    "log5-s2t1-i": (1, QuadraticRational(2, -1, -1), 2, 1),
+    "log5-s1t2-i": (2, QuadraticRational(2, -1, -1), 1, 2),
+}
 
 
-def _real_ratio(scale, quadratic):
+def _monomials(n, k):
+    return (k * k, n * k, k, n * n, n, 1)
+
+
+def _grid_factor(ctx, n, k):
+    step = 2 * (ctx.s + ctx.t)
+    return (step * n + 2 * k + 3) * (step * n + 2 * k + 5)
+
+
+def _solve(rows):
+    """Gauss-Jordan elimination on an augmented square system over Q(i)."""
+    for col in range(len(rows)):
+        pivot = next(r for r in range(col, len(rows)) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                rows[r] = [x - row[col] * y for x, y in zip(row, rows[col])]
+    return [row[-1] for row in rows]
+
+
+def _derive(ctx, label):
+    """R = r(n, k) / ((2(s+t)n + 2k + 3)(2(s+t)n + 2k + 5)), r quadratic.
+
+    The divided identity at six points fixes r's coefficients in Q(i);
+    cleared to ints, they make each R(n, k) int arithmetic.
+    """
+    rows = []
+    for n, k in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)):
+        here, right = _grid_factor(ctx, n, k), _grid_factor(ctx, n, k + 1)
+        b = ctx.k_ratio(n, k)
+        rows.append([b * Fraction(m1, right) - Fraction(m0, here)
+                     for m0, m1 in zip(_monomials(n, k), _monomials(n, k + 1))]
+                    + [ctx.n_ratio(n, k) - 1])
+    coefficients = _solve(rows)
+    scale = lcm(*(c.a.denominator for c in coefficients),
+                *(c.b.denominator for c in coefficients))
+    real = [(c.a * scale).numerator for c in coefficients]
+    imag = [(c.b * scale).numerator for c in coefficients]
+
     def ratio(n, k):
-        return QuadraticRational(
-            Fraction(quadratic(n, k), scale * _grid_factor(n, k)), 0, -1)
-    return ratio
+        monomials = _monomials(n, k)
+        den = scale * _grid_factor(ctx, n, k)
+        return QuadraticRational(Fraction(sum(map(mul, real, monomials)), den),
+                                 Fraction(sum(map(mul, imag, monomials)), den), -1)
+    return Certificate(ctx, ratio, label)
 
 
-def _conjugate_ratio(scale, real_part, imag_part, imag_sign):
-    def ratio(n, k):
-        den = scale * _grid_factor(n, k)
-        return QuadraticRational(Fraction(real_part(n, k), den),
-                                 Fraction(imag_sign * imag_part(n, k), den), -1)
-    return ratio
+def certificate_labels(target=None):
+    """Registry labels, series order: constant, then lattice shift. With
+    a target, only those whose sums reach log(target)."""
+    return [label for label, params in _REGISTRY.items()
+            if target is None or WZContext(*params).target == target]
 
 
-def _certificate(label, variant, p, s, t, ratio):
-    return Certificate(WZContext(variant, p, s, t), ratio, label)
-
-
-def _build_certificates():
-    certs = {}
-    certs["log2-s2t1"] = _certificate(
-        "log2-s2t1", 1, 2, 2, 1,
-        _real_ratio(32, lambda n, k: 144 * k * k + (828 * n + 558) * k
-                    + 1196 * n * n + 1596 * n + 499))
-    certs["log2-s1t2"] = _certificate(
-        "log2-s1t2", 2, 2, 1, 2,
-        _real_ratio(36, lambda n, k: 128 * k * k + (782 * n + 519) * k
-                    + 1196 * n * n + 1596 * n + 499))
-    certs["log3-s2t1"] = _certificate(
-        "log3-s2t1", 1, 3, 2, 1,
-        _real_ratio(9, lambda n, k: 48 * k * k + (256 * n + 176) * k
-                    + 352 * n * n + 472 * n + 148))
-    certs["log3-s1t2"] = _certificate(
-        "log3-s1t2", 2, 3, 1, 2,
-        _real_ratio(3, lambda n, k: 9 * k * k + (56 * n + 37) * k
-                    + 88 * n * n + 118 * n + 37))
-
-    # Conjugate-parameter certificates. The imaginary part pairs with the
-    # sign of Im(p) differently for the two shifts: +Im(p) for (2,1) and
-    # -Im(p) for (1,2). Both pairings are forced by the exact telescoping
-    # identity (flipping either breaks every grid point), so the grid
-    # check below is what pins them down.
-    for sign, tag in ((1, "+i"), (-1, "-i")):
-        p = QuadraticRational(2, sign, -1)
-        certs[f"log5-s2t1{tag}"] = _certificate(
-            f"log5-s2t1{tag}", 1, p, 2, 1,
-            _conjugate_ratio(
-                25,
-                lambda n, k: 110 * k * k + (646 * n + 433) * k
-                + 936 * n * n + 1246 * n + 389,
-                lambda n, k: (10 * k + 26 * n + 23) * (2 * k + 2 * n + 1),
-                sign))
-        certs[f"log5-s1t2{tag}"] = _certificate(
-            f"log5-s1t2{tag}", 2, p, 1, 2,
-            _conjugate_ratio(
-                25,
-                lambda n, k: 88 * k * k + (542 * n + 359) * k
-                + 832 * n * n + 1108 * n + 346,
-                lambda n, k: 2 * (8 * k + 26 * n + 21) * (k + 2 * n + 1),
-                -sign))
-    return certs
-
-
-_CERTIFICATES = _build_certificates()
-
-
-def certificate_labels():
-    """Registry labels, series order: constant, then lattice shift."""
-    return list(_CERTIFICATES)
-
-
+@functools.cache
 def certificate_get(label):
+    """The label's certificate, derived from its (variant, p, s, t)."""
     try:
-        return _CERTIFICATES[label]
+        params = _REGISTRY[label]
     except KeyError:
-        known = ", ".join(_CERTIFICATES)
+        known = ", ".join(_REGISTRY)
         raise KeyError(f"unknown certificate {label!r}; known labels: {known}") from None
+    return _derive(WZContext(*params), label)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import logseries
-from logseries import altseries, binsplit, cli, machin
+from logseries import altseries, binsplit, cli, machin, wzcert
 
 
 def invoke(capsys, argv):
@@ -213,6 +213,19 @@ def test_help_exits_zero(capsys):
     assert invoke(capsys, ["--help"])[0] == 0
 
 
+def test_run_reuses_the_parser_built_at_import(capsys, monkeypatch):
+    def rebuild():
+        raise AssertionError("cli.run built a second parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuild)
+    assert invoke(capsys, ["compute", "--p", "2"])[0] == 2
+    code, out, err = invoke(capsys, ["cost", "--series", "log2-eq8"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("log2-eq8")
+    assert invoke(capsys, ["cost"]) == (
+        2, "", "usage error: cost needs exactly one of --series or --all\n")
+
+
 # ----------------------------------------------------------------------
 #  search
 # ----------------------------------------------------------------------
@@ -285,6 +298,16 @@ def test_wz_verify_unknown_target(capsys):
     code, _, err = invoke(capsys, ["wz-verify", "--p", "7"])
     assert code == 1
     assert "no certificates" in err
+
+
+def test_wz_verify_derives_only_the_selected_certificates(capsys):
+    wzcert.certificate_get.cache_clear()
+    code, out, _ = invoke(capsys, ["wz-verify", "--p", "3", "--grid", "2",
+                                   "--digits", "10"])
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] \
+        == ["log3-s2t1", "log3-s1t2"]
+    assert wzcert.certificate_get.cache_info().misses == 2
 
 
 # ----------------------------------------------------------------------

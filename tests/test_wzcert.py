@@ -202,6 +202,66 @@ def test_exact_series_sum_matches_closed_form_terms():
             assert exact_series_sum(cert, n) == partial, (label, n)
 
 
+# The eight certificates as the paper's companions give them: R(n, k) is
+# (real + i imag) / (scale (6n + 2k + 3)(6n + 2k + 5)).
+def _log5_s2t1_real(n, k):
+    return 110 * k * k + (646 * n + 433) * k + 936 * n * n + 1246 * n + 389
+
+
+def _log5_s1t2_real(n, k):
+    return 88 * k * k + (542 * n + 359) * k + 832 * n * n + 1108 * n + 346
+
+
+PRINTED_CERTIFICATES = {
+    "log2-s2t1": (32, lambda n, k: 144 * k * k + (828 * n + 558) * k
+                  + 1196 * n * n + 1596 * n + 499, lambda n, k: 0),
+    "log2-s1t2": (36, lambda n, k: 128 * k * k + (782 * n + 519) * k
+                  + 1196 * n * n + 1596 * n + 499, lambda n, k: 0),
+    "log3-s2t1": (9, lambda n, k: 48 * k * k + (256 * n + 176) * k
+                  + 352 * n * n + 472 * n + 148, lambda n, k: 0),
+    "log3-s1t2": (3, lambda n, k: 9 * k * k + (56 * n + 37) * k
+                  + 88 * n * n + 118 * n + 37, lambda n, k: 0),
+    "log5-s2t1+i": (25, _log5_s2t1_real,
+                    lambda n, k: (10 * k + 26 * n + 23) * (2 * k + 2 * n + 1)),
+    "log5-s1t2+i": (25, _log5_s1t2_real,
+                    lambda n, k: -2 * (8 * k + 26 * n + 21) * (k + 2 * n + 1)),
+    "log5-s2t1-i": (25, _log5_s2t1_real,
+                    lambda n, k: -(10 * k + 26 * n + 23) * (2 * k + 2 * n + 1)),
+    "log5-s1t2-i": (25, _log5_s1t2_real,
+                    lambda n, k: 2 * (8 * k + 26 * n + 21) * (k + 2 * n + 1)),
+}
+
+
+def test_derived_certificates_equal_the_printed_ones():
+    assert certificate_labels() == list(PRINTED_CERTIFICATES)
+    for label, (scale, real, imag) in PRINTED_CERTIFICATES.items():
+        ratio = certificate_get(label).ratio
+        for n in range(21):
+            for k in range(21):
+                den = scale * (6 * n + 2 * k + 3) * (6 * n + 2 * k + 5)
+                want = QuadraticRational(Fraction(real(n, k), den),
+                                         Fraction(imag(n, k), den), -1)
+                assert ratio(n, k) == want, (label, n, k)
+
+
+def test_targets_select_labels():
+    assert [WZContext(1, p, 2, 1).target
+            for p in (2, 3, QuadraticRational(2, 1, -1), QuadraticRational(2, -1, -1))] \
+        == [2, 3, 5, 5]
+    assert certificate_labels(2) == ["log2-s2t1", "log2-s1t2"]
+    assert certificate_labels(5) == ["log5-s2t1+i", "log5-s1t2+i",
+                                     "log5-s2t1-i", "log5-s1t2-i"]
+    assert certificate_labels(7) == []
+
+
+def test_the_grid_check_rejects_a_solve_without_a_certificate():
+    # The (3, 1) shift has no certificate of the quadratic shape: the six
+    # equations still have a solution, and the grid check refuses it.
+    cert = wzcert._derive(WZContext(1, 2, 3, 1), "log2-s3t1")
+    report = certificate_telescoping_check(cert, 5, 5)
+    assert report.failures[0] == (0, 3) and not report.poles
+
+
 def test_registry_has_conjugate_pairs():
     labels = certificate_labels()
     assert len(labels) == 8
@@ -232,7 +292,7 @@ def test_telescoping_rejects_perturbed_certificate():
 
 def test_telescoping_pins_conjugate_sign():
     # Flipping the imaginary part of a conjugate-parameter certificate must
-    # break the identity; this is what fixes the sign pairing.
+    # break the identity, so the grid check sees a wrong sign pairing.
     good = certificate_get("log5-s2t1+i")
 
     def flipped(n, k):
