@@ -2,8 +2,8 @@
 
 The package evaluates log p to arbitrary decimal precision from
 hypergeometric series with rational term ratios, discovers new series
-by integer relation search, and proves the catalogued ones by WZ
-certificate telescoping and beta integral decompositions.
+by integer relation search, and checks the catalogued ones by WZ
+certificate telescoping, beta integrals and closed forms.
 
 The usual entry points:
 

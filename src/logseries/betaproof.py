@@ -1,14 +1,17 @@
-"""Beta-integral decompositions and closed forms for the catalog series.
+"""Beta-integral partial fractions, integrands and closed forms.
 
 The central-binomial motives are gamma quotients, so each series summand
 splits, by partial fractions over a Pochhammer basis, into beta-function
 integrals; summing under the integral sign turns the whole series into
-the integral of a rational function against dx/sqrt(1-x). This module
-computes the partial-fraction coefficients exactly, builds the integer
-integrand pair u(x)/v(x) for the degree-2 rows, validates the integral
-identities by high-precision quadrature against the machin oracle, and
-evaluates the four hypergeometric closed forms that assemble the same
-constants out of atanh and log terms.
+the integral of a rational function against dx/sqrt(1-x). The families
+built that way live in seriesdef.beta_family. This module computes the
+partial-fraction coefficients exactly (pfbeta, certified by
+pfbeta_residual), gives a series' summand as an exact rational function
+(summand_quotient, which compares a catalog row with its family
+member), builds the integer integrand pair u(x)/v(x) for the degree-2
+rows, validates the integral identities by high-precision quadrature
+against the machin oracle, and evaluates the four hypergeometric closed
+forms that assemble the same constants out of atanh and log terms.
 """
 
 from __future__ import annotations
@@ -16,38 +19,13 @@ from __future__ import annotations
 import dataclasses
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 import mpmath
 
 from .exactnum import IntPoly, poly_gcd
 from . import binsplit, machin, seriesdef
-from .seriesdef import estimate_terms, gamma_quotient_lambda, gamma_quotient_motive
-
-
-def _pochhammer_half(count):
-    # (1/2)_count as an exact rational: odd numbers over a power of two.
-    return Fraction(prod(range(1, 2 * count, 2)), 1 << count)
-
-
-# ----------------------------------------------------------------------
-#  Gamma-quotient motives
-# ----------------------------------------------------------------------
-
-def gamma_quotient_identity_check(m, nu, n_max):
-    """Exact rational check that the Pochhammer product equals the
-    gamma-quotient form lam^n (nu n)! (1/2)_{m n} / (1/2)_{N n} for all
-    n <= n_max."""
-    motive = seriesdef.Motive(*gamma_quotient_motive(m, nu), 1)
-    lam = gamma_quotient_lambda(m, nu)
-    n_count = m + nu
-    for n in range(n_max + 1):
-        left = motive.value(n)
-        right = lam ** n * Fraction(prod(range(1, nu * n + 1), start=1))
-        right *= _pochhammer_half(m * n) / _pochhammer_half(n_count * n)
-        if left != right:
-            return False
-    return True
+from .seriesdef import estimate_terms, gamma_quotient_motive
 
 
 # ----------------------------------------------------------------------
@@ -136,29 +114,6 @@ def pfbeta_residual(G, A, m, a, N, b):
     return residual
 
 
-@dataclasses.dataclass(frozen=True)
-class BetaDecomposition:
-    """A series summand split over the Pochhammer basis of its motive."""
-
-    m: int
-    nu: int
-    coefficients: tuple
-
-    def __post_init__(self):
-        if self.m < 0 or self.nu < 1:
-            raise ValueError("need m >= 0 and nu >= 1")
-        object.__setattr__(self, "coefficients",
-                           tuple(Fraction(c) for c in self.coefficients))
-
-    @property
-    def n_count(self):
-        return self.m + self.nu
-
-    @property
-    def lambda_factor(self):
-        return gamma_quotient_lambda(self.m, self.nu)
-
-
 def _shift_by_one(poly):
     """poly(x + 1) as a new polynomial."""
     out = IntPoly([])
@@ -192,36 +147,6 @@ def summand_quotient(spec):
         num, _ = num.divmod(common)
         den, _ = den.divmod(common)
     return num, den
-
-
-def decompose_series(spec):
-    """Split a catalog-style series over its motive's Pochhammer basis.
-
-    The motive must be a gamma quotient (its parameters must match some
-    gamma_quotient_motive(m, nu)); the rational summand, re-indexed to
-    start at 0 if needed, is then decomposed with pfbeta and the result
-    certified by residual sampling.
-    """
-    motive = spec.motive
-    signature = (tuple(sorted(motive.num_params)), tuple(sorted(motive.den_params)))
-    found = None
-    for m in range(0, 8):
-        for nu in range(1, 9):
-            if gamma_quotient_motive(m, nu) == signature:
-                found = (m, nu)
-                break
-        if found:
-            break
-    if found is None:
-        raise ValueError("series motive is not a gamma quotient")
-    m, nu = found
-    n_count = m + nu
-
-    top, bottom = summand_quotient(spec)
-    summand = lambda x: top(x) / bottom(x)
-    coefficients = pfbeta(summand, n_count, nu, 1, n_count, Fraction(1, 2))
-    pfbeta_residual(summand, coefficients, nu, 1, n_count, Fraction(1, 2))
-    return BetaDecomposition(m, nu, coefficients)
 
 
 # ----------------------------------------------------------------------

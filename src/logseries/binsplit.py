@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .seriesdef import CATALOG_TARGETS, SeriesSpec, estimate_terms
+from .seriesdef import SeriesSpec, estimate_terms
 
 # Terms folded in one flat loop before the tree starts merging nodes.
 # At 10^5 digits (log2-eq8, log2-eq9, log10-tableI) 16 built the int
@@ -142,7 +142,6 @@ class SplitNode:
 @dataclass(frozen=True)
 class DigitsResult:
     decimal_digits: str
-    p: object
     series_label: str
     requested_digits: int
 
@@ -357,18 +356,6 @@ def node_sum(spec: SeriesSpec, node: SplitNode) -> Fraction:
     return _compiled(spec).scale * node.value()
 
 
-def _target_of(spec: SeriesSpec):
-    if spec.label in CATALOG_TARGETS:
-        return CATALOG_TARGETS[spec.label]
-    if spec.label.startswith("log(") and ")" in spec.label:
-        text = spec.label[4:spec.label.index(")")]
-        try:
-            return Fraction(text)
-        except ValueError:
-            return None
-    return None
-
-
 def evaluate(spec: SeriesSpec, digits: int) -> DigitsResult:
     """Decimal expansion of the series limit, truncated to `digits` places.
 
@@ -421,12 +408,7 @@ def evaluate(spec: SeriesSpec, digits: int) -> DigitsResult:
         text = str(scaled // ten_guard)
     ip, frac = text[:-digits] or "0", text[-digits:].rjust(digits, "0")
     text = f"{'-' if neg else ''}{ip}.{frac}"
-    return DigitsResult(
-        decimal_digits=text,
-        p=_target_of(spec),
-        series_label=spec.label,
-        requested_digits=digits,
-    )
+    return DigitsResult(text, spec.label, digits)
 
 
 def cross_verify(spec_a: SeriesSpec, spec_b: SeriesSpec,
@@ -538,12 +520,13 @@ def _digit_count(text: str, end: int) -> int:
     return end - text.count(".", 0, end) - text.count("-", 0, end)
 
 
-def render_digit_rows(result: DigitsResult) -> str:
-    """Digit report: header line, then rows of 100 digits in blocks of 10.
+def render_digit_rows(result: DigitsResult, target) -> str:
+    """Digit report for log(target): header line, then rows of 100 digits
+    in blocks of 10.
 
     The first row is prefixed with the integer part and decimal point."""
     head, _, frac = result.decimal_digits.partition(".")
-    lines = [f"# log({result.p}) digits={result.requested_digits} "
+    lines = [f"# log({target}) digits={result.requested_digits} "
              f"series={result.series_label}"]
     prefix = head + "."
     for row_start in range(0, len(frac), 100):

@@ -68,14 +68,14 @@ def _cmd_compute(args):
     if label is None:
         label = seriesdef.cheapest_label(args.p)
     spec = seriesdef.catalog_get(label)
-    if args.p is not None and seriesdef.CATALOG_TARGETS.get(label) != args.p:
+    target = seriesdef.CATALOG_TARGETS[label]
+    if args.p is not None and target != args.p:
         raise UsageError(f"series {label} does not compute log({args.p})")
     if args.verify:
         other = seriesdef.catalog_get(args.verify)
         if args.verify == label:
             raise UsageError(f"--verify {label} names the series being "
                              f"computed; a check needs a second series")
-        target = seriesdef.CATALOG_TARGETS[label]
         if seriesdef.CATALOG_TARGETS[args.verify] != target:
             raise UsageError(f"series {args.verify} does not compute "
                              f"log({target})")
@@ -84,7 +84,7 @@ def _cmd_compute(args):
         result, agreed = binsplit.cross_verify(spec, other, args.digits)
     else:
         result = binsplit.evaluate(spec, args.digits)
-    lines = [binsplit.render_digit_rows(result)]
+    lines = [binsplit.render_digit_rows(result, target)]
     if args.verify:
         lines.append(f"# verified against {args.verify}: "
                      f"first {agreed} digits agree")
@@ -266,7 +266,7 @@ def _cmd_family(args):
     spec = _FAMILIES[args.method](args.p)
     if args.digits:
         result = binsplit.evaluate(spec, args.digits)
-        _emit(binsplit.render_digit_rows(result), args.out)
+        _emit(binsplit.render_digit_rows(result, args.p), args.out)
         return 0
     cost = seriesdef.binary_splitting_cost(spec)
     lines = [

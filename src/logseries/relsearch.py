@@ -345,10 +345,11 @@ def search(motive: Motive, target: FixedReal, target_weight: int,
     The motive supplies the parameter lists only; its own rate is
     ignored and every admissible lattice point is tried in both signs.
     h = d - target_weight fixes how many sums enter the detection, and
-    the working precision never drops below 20*(h+2) decimal digits.
-    Candidates are returned sorted by series cost. Lattice points are
-    independent of each other, so failures at one point only log and
-    move on.
+    the working precision never drops below 20*(h+2) decimal digits,
+    and a target with fewer bits than confirmation then needs raises
+    ValueError. Candidates are returned sorted by series cost. Lattice
+    points are independent of each other, so failures at one point only
+    log and move on.
     """
     _require_complete(motive)
     d = motive.d
@@ -357,9 +358,8 @@ def search(motive: Motive, target: FixedReal, target_weight: int,
         raise ValueError("target weight exceeds the motive depth")
     wd, bits, target_bits = working_precision(h, strategy.working_digits)
     if target.bit_precision < target_bits:
-        log.warning("target carries %d bits but confirmation needs %d; "
-                    "skipping the search", target.bit_precision, target_bits)
-        return []
+        raise ValueError(f"target carries {target.bit_precision} bits but "
+                         f"confirmation needs {target_bits}")
     found = []
     for rho, cost, n_terms in _admissible_points(strategy, d, wd):
         for sign in (1, -1):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -91,37 +92,54 @@ def test_pfbeta_agrees_with_a1a2a3_on_random_rows():
         assert bp.pfbeta(g, 3, 2, 1, 3, Fraction(1, 2)) == bp.a1a2a3(a, b, c)
 
 
+def _signature(motive):
+    return (tuple(sorted(motive.num_params)), tuple(sorted(motive.den_params)))
+
+
+def _decompose(spec, m, nu):
+    """The spec's summand over the Pochhammer basis of the gamma-quotient
+    motive (m, nu), certified by the residual check."""
+    top, bottom = bp.summand_quotient(spec)
+    summand = lambda x: top(x) / bottom(x)
+    n_count = m + nu
+    coefficients = bp.pfbeta(summand, n_count, nu, 1, n_count, Fraction(1, 2))
+    bp.pfbeta_residual(summand, coefficients, nu, 1, n_count, Fraction(1, 2))
+    return coefficients
+
+
 def test_decompose_both_printed_conventions():
     # The n>=1 and n>=0 conventions of each tabulated row carry the same
-    # summand after the index shift, so both decompose identically.
+    # summand after the index shift, and it splits into the printed A's.
     labels = {2: "log2-eq8", 3: "log3-eq8a", 5: "log5-eq8b",
               7: "log7-tableI", 10: "log10-tableI"}
     for p, label in labels.items():
         row = sd.d2_params(p)
-        want = bp.a1a2a3(row.a, row.b, row.c)
-        shifted = bp.decompose_series(sd.catalog_get(label))
-        assert (shifted.m, shifted.nu) == (1, 2)
-        assert shifted.coefficients == want, label
-        direct = bp.decompose_series(
-            sd.d2_series_from_abc(row.a, row.b, row.c, row.rho, f"abc-{p}"))
-        assert direct.coefficients == want, p
+        shifted = sd.catalog_get(label)
+        direct = sd.d2_series_from_abc(row.a, row.b, row.c, row.rho, f"abc-{p}")
+        assert _signature(shifted.motive) == sd.gamma_quotient_motive(1, 2)
+        assert shifted.motive.rho == direct.motive.rho, label
+        n1, d1 = bp.summand_quotient(shifted)
+        n2, d2 = bp.summand_quotient(direct)
+        assert n1 * d2 == n2 * d1, label
+        assert _decompose(shifted, 1, 2) == bp.a1a2a3(row.a, row.b, row.c) \
+            == PRINTED_A[p], label
 
 
 def test_decompose_higher_degree_rows():
-    example = bp.decompose_series(sd.catalog_get("log2-eq18"))
-    assert (example.m, example.nu) == (3, 4)
-    assert example.coefficients == EXAMPLE_COEFFS
-    assert example.lambda_factor == Fraction(823543, 6912)
+    example = sd.catalog_get("log2-eq18")
+    assert _signature(example.motive) == sd.gamma_quotient_motive(3, 4)
+    assert _decompose(example, 3, 4) == EXAMPLE_COEFFS
 
-    for label, shape in [("log2-eq9", (3, 2)), ("log3-eq15a", (3, 2)),
-                         ("log2-eq11", (1, 4))]:
-        dec = bp.decompose_series(sd.catalog_get(label))
-        assert (dec.m, dec.nu) == shape, label
-        assert len(dec.coefficients) == dec.n_count
+    for label, (m, nu) in [("log2-eq9", (3, 2)), ("log3-eq15a", (3, 2)),
+                           ("log2-eq11", (1, 4))]:
+        spec = sd.catalog_get(label)
+        assert _signature(spec.motive) == sd.gamma_quotient_motive(m, nu), label
+        assert len(_decompose(spec, m, nu)) == m + nu, label
 
     # the conjectured degree-4 row is not of beta-integral form
-    with pytest.raises(ValueError, match="gamma quotient"):
-        bp.decompose_series(sd.catalog_get("log2-eq13"))
+    eq13 = _signature(sd.catalog_get("log2-eq13").motive)
+    assert all(sd.gamma_quotient_motive(m, nu) != eq13
+               for m in range(8) for nu in range(1, 9))
 
 
 def test_gamma_quotient_motives_match_catalog():
@@ -134,23 +152,33 @@ def test_gamma_quotient_motives_match_catalog():
         ((1, 1), sd.level2_series(2).motive),
     ]
     for (m, nu), motive in cases:
-        got = bp.gamma_quotient_motive(m, nu)
-        assert got == (tuple(sorted(motive.num_params)),
-                       tuple(sorted(motive.den_params))), (m, nu)
+        assert sd.gamma_quotient_motive(m, nu) == _signature(motive), (m, nu)
 
 
 def test_gamma_quotient_lambda_values():
-    assert bp.gamma_quotient_lambda(1, 1) == 4
-    assert bp.gamma_quotient_lambda(1, 2) == Fraction(27, 4)
-    assert bp.gamma_quotient_lambda(1, 4) == Fraction(3125, 256)
-    assert bp.gamma_quotient_lambda(3, 2) == Fraction(3125, 108)
-    assert bp.gamma_quotient_lambda(3, 4) == Fraction(823543, 6912)
-    assert bp.gamma_quotient_lambda(0, 2) == 1  # 0**0 convention
+    assert sd.gamma_quotient_lambda(1, 1) == 4
+    assert sd.gamma_quotient_lambda(1, 2) == Fraction(27, 4)
+    assert sd.gamma_quotient_lambda(1, 4) == Fraction(3125, 256)
+    assert sd.gamma_quotient_lambda(3, 2) == Fraction(3125, 108)
+    assert sd.gamma_quotient_lambda(3, 4) == Fraction(823543, 6912)
+    assert sd.gamma_quotient_lambda(0, 2) == 1  # 0**0 convention
+
+
+def _pochhammer_half(count):
+    # (1/2)_count as an exact rational: odd numbers over a power of two
+    return Fraction(math.prod(range(1, 2 * count, 2)), 1 << count)
 
 
 def test_gamma_quotient_identity_exact():
+    # the motive's Pochhammer product is the gamma quotient
+    # lam^n (nu n)! (1/2)_{m n} / (1/2)_{N n}, N = m + nu
     for m, nu in [(1, 1), (1, 2), (1, 4), (3, 2), (3, 4)]:
-        assert bp.gamma_quotient_identity_check(m, nu, 30), (m, nu)
+        motive = sd.Motive(*sd.gamma_quotient_motive(m, nu), 1)
+        lam = sd.gamma_quotient_lambda(m, nu)
+        for n in range(31):
+            want = (lam ** n * math.factorial(nu * n) * _pochhammer_half(m * n)
+                    / _pochhammer_half((m + nu) * n))
+            assert motive.value(n) == want, (m, nu, n)
 
 
 def test_build_integrand_printed_table():

@@ -25,7 +25,6 @@ def test_evaluate_reference_50_digits():
 
 def test_digits_result_fields():
     r = bs.evaluate(sd.catalog_get("log3-eq8a"), 30)
-    assert r.p == 3
     assert r.series_label == "log3-eq8a"
     assert r.requested_digits == 30
     assert len(r.decimal_digits.partition(".")[2]) == 30
@@ -173,8 +172,9 @@ def test_evaluate_matches_oracle_500_digits_all_catalog():
 def test_evaluate_family_spec_with_fraction_p():
     spec = sd.d4_family(Fraction(5, 2))
     r = bs.evaluate(spec, 40)
-    assert r.p == Fraction(5, 2)
     assert r.decimal_digits == machin.log_decimal(Fraction(5, 2), 40)
+    header = bs.render_digit_rows(r, Fraction(5, 2)).splitlines()[0]
+    assert header == "# log(5/2) digits=40 series=log(5/2)-d4"
 
 
 def test_evaluate_rejects_bad_input():
@@ -206,7 +206,7 @@ def test_cross_verify_names_first_difference():
 
 def test_render_digit_rows_layout():
     r = bs.evaluate(sd.catalog_get("log2-eq8"), 250)
-    text = bs.render_digit_rows(r)
+    text = bs.render_digit_rows(r, 2)
     lines = text.splitlines()
     assert lines[0] == "# log(2) digits=250 series=log2-eq8"
     assert lines[1].startswith("0.")
@@ -289,7 +289,7 @@ def test_cross_verify_message_names_the_first_difference_exactly(monkeypatch):
     def evaluate_as(changed):
         # the forked child inherits the patch, so spec_b gets `changed`
         return lambda spec, digits: bs.DigitsResult(
-            text if spec is spec_a else changed, 2, spec.label, digits)
+            text if spec is spec_a else changed, spec.label, digits)
 
     # character 30 of "0.6931..." is the 29th fractional digit
     wrong = text[:30] + str((int(text[30]) + 1) % 10) + text[31:]

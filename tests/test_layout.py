@@ -1,4 +1,5 @@
-"""Package layout: no module reaches into another module's private names.
+"""Package layout: no module reaches into another module's private names,
+and binsplit reads only the series specification from seriesdef.
 
 Each module of `src/logseries` is parsed with `ast`. The package imports
 its siblings relatively, so a `from .mod import _name`, or an attribute
@@ -34,6 +35,21 @@ def _private_uses(path):
     return found
 
 
+def _names_from(path, module):
+    """Names a module imports from its sibling `module`, with "*" when it
+    binds the sibling itself and so can read any of its names."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == module:
+                names.update(alias.name for alias in node.names)
+            elif node.module is None and any(alias.name == module
+                                              for alias in node.names):
+                names.add("*")
+    return names
+
+
 def test_no_module_uses_a_sibling_private_name():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
@@ -50,3 +66,14 @@ def test_the_checker_sees_private_imports_and_reads(tmp_path):
                    "y = bs.evaluate\n")
     assert _private_uses(bad) == ["from seriesdef import _hidden",
                                   "binsplit._leaf"]
+    assert _names_from(bad, "seriesdef") == {"_hidden", "Motive"}
+    assert _names_from(bad, "binsplit") == {"*"}
+    assert _names_from(bad, "machin") == set()
+
+
+def test_binsplit_reads_only_the_spec_from_seriesdef():
+    # binsplit sums any SeriesSpec; the catalog, its targets and the
+    # families belong to the callers
+    assert _names_from(PACKAGE / "binsplit.py", "seriesdef") \
+        <= {"SeriesSpec", "estimate_terms"}
+

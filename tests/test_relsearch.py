@@ -363,12 +363,12 @@ def test_search_with_no_primes_is_empty():
     assert rs.search(_m2a(), target, 1, strategy) == []
 
 
-def test_search_skips_when_the_target_is_too_short(caplog):
+def test_search_refuses_a_target_too_short():
     target = _log_fixed(3, 60, 200)
     strategy = rs.LatticeStrategy(primes=(3,), exponent_bounds=((-8, 0),))
-    with caplog.at_level(logging.WARNING, logger="logseries.relsearch"):
-        assert rs.search(_m2a(), target, 1, strategy) == []
-    assert any("confirmation" in r.message for r in caplog.records)
+    with pytest.raises(ValueError, match="target carries 200 bits but "
+                                         "confirmation needs"):
+        rs.search(_m2a(), target, 1, strategy)
 
 
 def test_search_rejects_incomplete_motives():

@@ -370,16 +370,22 @@ def test_d4_rate_matches_catalog_at_p2():
 
 def test_catalog_rows_are_family_members():
     # each gamma-quotient catalog row with a real rational root is the
-    # derived series at its x: the same weights over the Pochhammer basis
+    # derived series at its x: the same motive and rate, and the same
+    # summand as an exact rational function once both start at n = 0
     members = [("log2-eq8", 1, 2, 2), ("log3-eq8a", 1, 2, 3),
                ("log7-tableI", 1, 2, 7), ("log2-eq9", 3, 2, 2),
                ("log3-eq15a", 3, 2, 3), ("log2-eq18", 3, 4, 2),
                ("log2-eq11", 1, 4, 2)]
     for label, m, nu, x in members:
-        row = bp.decompose_series(sd.catalog_get(label))
-        derived = bp.decompose_series(sd.beta_family(m, nu, x, "derived"))
-        assert (row.m, row.nu) == (m, nu), label
-        assert row.coefficients == derived.coefficients, label
+        row = sd.catalog_get(label)
+        derived = sd.beta_family(m, nu, x, "derived")
+        assert (tuple(sorted(row.motive.num_params)),
+                tuple(sorted(row.motive.den_params))) \
+            == sd.gamma_quotient_motive(m, nu), label
+        assert row.motive.rho == derived.motive.rho, label
+        n1, d1 = bp.summand_quotient(row)
+        n2, d2 = bp.summand_quotient(derived)
+        assert n1 * d2 == n2 * d1, label
 
 
 def test_beta_family_sums_to_log_x_on_other_motives():
