@@ -7,6 +7,7 @@ usage errors.
 """
 
 import argparse
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -393,6 +394,9 @@ def run(argv=None):
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader went away: main() owns stdout and silences it
+        raise
     except OSError as exc:
         # args[0] is the errno; str(exc) names the reason and the path
         print(f"error: {exc}", file=sys.stderr)
@@ -404,4 +408,11 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout is gone; point it at devnull so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -23,18 +23,36 @@ grid, not a proof of the identity: no degree bound ties the grid to all
 closed form `base_f` is evaluated only where that walk starts. No code
 checks the WZ limit conditions (the row sums over k must vanish as n
 grows), so a `wz-verify` line covers only the grid telescoping and the
-agreement of the certificate sum with log p. All arithmetic is exact,
-in Q(i) (`QuadraticRational` at d = -1).
+agreement of the certificate sum with log p.
+
+All arithmetic is exact and, past the two step constants, on ints. A
+certificate is its cleared coefficients; each step ratio is a Gaussian
+integer over an int constant denominator times a ratio of int linear
+factors. The derivation, the grid check and the sum multiply through by
+those denominators, so no Q(i) value (`QuadraticRational` at d = -1) is
+built per grid point: only the closed forms and the values handed to
+readers (`ratio`, `n_ratio`, `k_ratio`, the sum) are.
 """
 
 import dataclasses
 import functools
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
-from typing import Callable
 
 from .exactnum import FixedReal, QuadraticRational
+
+
+def _gaussian(re, im, den):
+    """(re + i im) / den in Q(i)."""
+    return QuadraticRational(Fraction(re, den), Fraction(im, den), -1)
+
+
+def _cleared(q):
+    """q in Q(i) as ints (re, im, den), q = (re + i im) / den, den > 0."""
+    den = lcm(q.a.denominator, q.b.denominator)
+    return (q.a.numerator * (den // q.a.denominator),
+            q.b.numerator * (den // q.b.denominator), den)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,7 +94,7 @@ class WZContext:
     # One step of base_f from (N, K) multiplies by a constant in Q(i) and
     # a ratio of linear factors over 2N + 2K + 3: 2N + 3 - variant for an
     # n-step, 2K + variant for a k-step. The constants are computed on
-    # first use.
+    # first use and kept cleared, as (re, im, den).
 
     def _base_step_constants(self):
         p = self.p
@@ -88,50 +106,79 @@ class WZContext:
 
     @functools.cached_property
     def n_constant(self):
-        """Constant factor of n_ratio: s base n-steps and t base k-steps."""
+        """A's constant factor, s base n-steps and t base k-steps, as (re, im, den)."""
         n_step, k_step = self._base_step_constants()
-        return n_step ** self.s * k_step ** self.t
+        return _cleared(n_step ** self.s * k_step ** self.t)
 
     @functools.cached_property
     def k_constant(self):
-        """Constant factor of k_ratio: one base k-step."""
-        return self._base_step_constants()[1]
+        """B's constant factor, one base k-step, as (re, im, den)."""
+        return _cleared(self._base_step_constants()[1])
+
+    def steps(self, n, k):
+        """The positive int step factors (na, da, nb, db) at (n, k): A is
+        n_constant times na/da, B is k_constant times nb/db."""
+        big_n, big_k = self.s * n, k + self.t * n
+        n_first, k_first = 2 * big_n + 3 - self.variant, 2 * big_k + self.variant
+        base = 2 * (big_n + big_k) + 3
+        na = (prod(range(n_first, n_first + 2 * self.s, 2))
+              * prod(range(k_first, k_first + 2 * self.t, 2)))
+        return na, prod(range(base, base + 2 * (self.s + self.t), 2)), k_first, base
 
     def n_ratio(self, n, k):
         """Exact A = F_st(n+1, k) / F_st(n, k): s n-steps, then t k-steps."""
-        big_n, big_k = self.s * n, k + self.t * n
-        num = den = 1
-        for i in range(self.s):
-            num *= 2 * (big_n + i) + 3 - self.variant
-        for j in range(self.t):
-            num *= 2 * (big_k + j) + self.variant
-        for m in range(self.s + self.t):
-            den *= 2 * (big_n + big_k + m) + 3
-        return self.n_constant * Fraction(num, den)
+        re, im, den = self.n_constant
+        na, da, _, _ = self.steps(n, k)
+        return _gaussian(re * na, im * na, den * da)
 
     def k_ratio(self, n, k):
         """Exact B = F_st(n, k+1) / F_st(n, k): one k-step."""
-        big_n, big_k = self.s * n, k + self.t * n
-        return self.k_constant * Fraction(2 * big_k + self.variant,
-                                          2 * (big_n + big_k) + 3)
+        re, im, den = self.k_constant
+        _, _, nb, db = self.steps(n, k)
+        return _gaussian(re * nb, im * nb, den * db)
+
+
+def _monomials(n, k):
+    return (k * k, n * k, k, n * n, n, 1)
+
+
+def _grid_factor(ctx, n, k):
+    step = 2 * (ctx.s + ctx.t)
+    return (step * n + 2 * k + 3) * (step * n + 2 * k + 5)
 
 
 @dataclasses.dataclass(frozen=True)
 class Certificate:
-    """Bivariate rational certificate R = G/F for a shifted companion."""
+    """Bivariate rational certificate R = G/F for a shifted companion.
+
+    It is kept cleared: R(n, k) = (real.m + i imag.m) / (scale g(n, k)),
+    with m the monomials (k^2, nk, k, n^2, n, 1), g(n, k) =
+    (2(s+t)n + 2k + 3)(2(s+t)n + 2k + 5) and an int scale > 0. Both are
+    positive for n, k >= 0, so R has no pole there.
+    """
 
     context: WZContext
-    ratio: Callable[[int, int], QuadraticRational]
+    scale: int
+    real: tuple
+    imag: tuple
     label: str
+
+    def numerator(self, n, k):
+        """The ints (real.m, imag.m) at (n, k)."""
+        m = _monomials(n, k)
+        return sum(map(mul, self.real, m)), sum(map(mul, self.imag, m))
+
+    def ratio(self, n, k):
+        """Exact R(n, k) in Q(i)."""
+        return _gaussian(*self.numerator(n, k),
+                         self.scale * _grid_factor(self.context, n, k))
 
 
 def _beta_row(k, n):
     # B(k + 1/2, n + 1) = n! / prod_{j=0..n} (k + 1/2 + j), exactly rational
     # once the half integers are cleared: n! 2^(n+1) / prod (2k + 1 + 2j).
-    prod = 1
-    for j in range(n + 1):
-        prod *= 2 * k + 1 + 2 * j
-    return Fraction(factorial(n) << (n + 1), prod)
+    return Fraction(factorial(n) << (n + 1),
+                    prod(range(2 * k + 1, 2 * k + 2 * n + 3, 2)))
 
 
 def base_f(ctx, n, k):
@@ -170,11 +217,27 @@ class TelescopingReport:
     k_max: int
     points: int
     failures: tuple
-    poles: tuple
 
     @property
     def passed(self):
-        return not self.failures and not self.poles
+        return not self.failures
+
+
+def _cleared_identity(ctx, n, k):
+    """The divided identity at (n, k) times a_den da b_den db g(n, k) g(n, k+1).
+
+    With a_den, b_den the constants' denominators and R = r / g, it reads
+    lhs == r(n, k+1) (b_re + i b_im) u - r(n, k) v. Returns the ints
+    (lhs_re, lhs_im, u, v); for a certificate's r, whose numerator is
+    over `scale`, lhs is multiplied by the scale too.
+    """
+    a_re, a_im, a_den = ctx.n_constant
+    b_den = ctx.k_constant[2]
+    na, da, nb, db = ctx.steps(n, k)
+    here, right = _grid_factor(ctx, n, k), _grid_factor(ctx, n, k + 1)
+    both = b_den * db * here * right
+    return ((a_re * na - a_den * da) * both, a_im * na * both,
+            nb * a_den * da * here, a_den * b_den * da * db * right)
 
 
 def certificate_telescoping_check(cert, n_max=20, k_max=20):
@@ -182,37 +245,26 @@ def certificate_telescoping_check(cert, n_max=20, k_max=20):
 
     It tests A - 1 == R(n, k+1) B - R(n, k) with the context's step
     ratios: the identity divided by F_st(n, k), which for p != 1 has no
-    zero factor. At p = 1 F vanishes and every point passes. The result
-    is exact on the grid and proves nothing off it.
-
-    G(n, k) is R(n, k) * F(s n, k + t n); a certificate pole inside the
-    grid is recorded rather than raised so one bad point cannot mask the
-    rest of the report.
+    zero factor. At p = 1 F vanishes and every point passes. Each point
+    is multiplied through by its positive denominators
+    (`_cleared_identity` and the scale) and compares the real and the
+    imaginary part as ints. The result is exact on the grid and proves
+    nothing off it.
     """
     ctx = cert.context
-    vanishing = ctx.p == 1
     failures = []
-    poles = []
-    for n in range(n_max + 1):
-        row = []
-        for k in range(k_max + 2):
-            try:
-                row.append(cert.ratio(n, k))
-            except ZeroDivisionError:
-                row.append(None)
-        for k in range(k_max + 1):
-            here, right = row[k], row[k + 1]
-            if here is None or right is None:
-                poles.append((n, k))
-                continue
-            if vanishing:
-                continue
-            if ctx.n_ratio(n, k) - 1 != right * ctx.k_ratio(n, k) - here:
-                failures.append((n, k))
-    return TelescopingReport(
-        cert.label, n_max, k_max, (n_max + 1) * (k_max + 1),
-        tuple(failures), tuple(poles),
-    )
+    if ctx.p != 1:
+        b_re, b_im, _ = ctx.k_constant
+        for n in range(n_max + 1):
+            row = [cert.numerator(n, k) for k in range(k_max + 2)]
+            for k in range(k_max + 1):
+                (x0, y0), (x1, y1) = row[k], row[k + 1]
+                re, im, u, v = _cleared_identity(ctx, n, k)
+                if (re * cert.scale != (x1 * b_re - y1 * b_im) * u - x0 * v
+                        or im * cert.scale != (x1 * b_im + y1 * b_re) * u - y0 * v):
+                    failures.append((n, k))
+    return TelescopingReport(cert.label, n_max, k_max,
+                             (n_max + 1) * (k_max + 1), tuple(failures))
 
 
 # ----------------------------------------------------------------------
@@ -242,33 +294,42 @@ def exact_series_sum(cert, n_terms):
     """Exact sum of G(n, 0) = R(n, 0) F_st(n, 0) for n = 0..n_terms.
 
     Horner's rule on F_st(0, 0) (R(0, 0) + A(0) (R(1, 0) + A(1) (...)))
-    with A(n) = A(n, 0), innermost bracket first: each step adds a small
-    rational to the accumulator. First, a term whose magnitude fails to
+    with A(n) = A(n, 0), innermost bracket first, on a Gaussian-integer
+    numerator over one int denominator, neither reduced; the one Q(i)
+    value is built at the end. First, a term whose magnitude fails to
     decrease raises ValueError; that test divides both squared
-    magnitudes by |F_st(n-1, 0)|^2 (at p = 1, A = 0 and it never fires).
+    magnitudes by |F_st(n-1, 0)|^2 and compares them cross-multiplied
+    (at p = 1, A = 0 and it never fires).
     """
     ctx = cert.context
-    ratios = [cert.ratio(0, 0)]
-    steps = []
-    for n in range(1, n_terms + 1):
-        here = cert.ratio(n, 0)
-        step = ctx.n_ratio(n - 1, 0)
-        size, previous = here.norm() * step.norm(), ratios[-1].norm()
+    a_re, a_im, a_den = ctx.n_constant
+    a_norm = a_re * a_re + a_im * a_im
+    terms = [(*cert.numerator(n, 0), _grid_factor(ctx, n, 0))
+             for n in range(n_terms + 1)]
+    steps = [ctx.steps(n, 0)[:2] for n in range(n_terms)]
+    for (x0, y0, g0), (x1, y1, g1), (na, da) in zip(terms, terms[1:], steps):
+        # |R(n+1) A(n)|^2 against |R(n)|^2, both times (scale g0 g1 a_den da)^2
+        size = (x1 * x1 + y1 * y1) * a_norm * (na * g0) ** 2
+        previous = (x0 * x0 + y0 * y0) * (a_den * da * g1) ** 2
         if (size or previous) and size >= previous:
             raise ValueError("series terms do not decrease; refusing to sum")
-        ratios.append(here)
-        steps.append(step)
-    total = ratios.pop()
+    # the running total is (re + i im) / (den scale)
+    re, im, den = terms.pop()
     while steps:
-        total = ratios.pop() + steps.pop() * total
-    return total * f_st(ctx, 0, 0)
+        x, y, g = terms.pop()
+        na, da = steps.pop()
+        lift, step = a_den * da * den, na * g
+        re, im = (x * lift + step * (a_re * re - a_im * im),
+                  y * lift + step * (a_re * im + a_im * re))
+        den = lift * g
+    return _gaussian(re, im, den * cert.scale) * f_st(ctx, 0, 0)
 
 
 def gst_series_sum(cert, n_terms, bits):
     """Sum G(n, 0) for n = 0..n_terms; the limit is log p.
 
-    The accumulation is exact arithmetic in Q(i); the result
-    is rounded to `bits` fractional bits only at the end. Terms whose
+    The accumulation is exact (`exact_series_sum`); the result is
+    rounded to `bits` fractional bits only at the end. Terms whose
     magnitude fails to decrease abort the sum (the certificate's series
     would be divergent, so its value would be meaningless).
     """
@@ -297,53 +358,44 @@ _REGISTRY = {
 }
 
 
-def _monomials(n, k):
-    return (k * k, n * k, k, n * n, n, 1)
-
-
-def _grid_factor(ctx, n, k):
-    step = 2 * (ctx.s + ctx.t)
-    return (step * n + 2 * k + 3) * (step * n + 2 * k + 5)
-
-
 def _solve(rows):
-    """Gauss-Jordan elimination on an augmented square system over Q(i)."""
+    """Fraction-free Gauss-Jordan (Bareiss) elimination on an augmented
+    square int system. Every division is exact; the solution is
+    x_j = top[j] / det, and it returns (top, det)."""
+    previous = 1
     for col in range(len(rows)):
         pivot = next(r for r in range(col, len(rows)) if rows[r][col])
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col][col]
-        rows[col] = [x / lead for x in rows[col]]
-        for r, row in enumerate(rows):
-            if r != col and row[col]:
-                rows[r] = [x - row[col] * y for x, y in zip(row, rows[col])]
-    return [row[-1] for row in rows]
+        lead = rows[col]
+        here = lead[col]
+        rows = [row if r == col else
+                [(here * x - row[col] * y) // previous for x, y in zip(row, lead)]
+                for r, row in enumerate(rows)]
+        previous = here
+    return [row[-1] for row in rows], previous
 
 
 def _derive(ctx, label):
     """R = r(n, k) / ((2(s+t)n + 2k + 3)(2(s+t)n + 2k + 5)), r quadratic.
 
-    The divided identity at six points fixes r's coefficients in Q(i);
-    cleared to ints, they make each R(n, k) int arithmetic.
+    The cleared identity at six points is linear in r's coefficients
+    c + i d. Split into real and imaginary parts it is a 12 x 12 int
+    system in (c, d); its solution, cleared to the least common
+    denominator, is the certificate.
     """
+    b_re, b_im, _ = ctx.k_constant
     rows = []
     for n, k in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)):
-        here, right = _grid_factor(ctx, n, k), _grid_factor(ctx, n, k + 1)
-        b = ctx.k_ratio(n, k)
-        rows.append([b * Fraction(m1, right) - Fraction(m0, here)
-                     for m0, m1 in zip(_monomials(n, k), _monomials(n, k + 1))]
-                    + [ctx.n_ratio(n, k) - 1])
-    coefficients = _solve(rows)
-    scale = lcm(*(c.a.denominator for c in coefficients),
-                *(c.b.denominator for c in coefficients))
-    real = [(c.a * scale).numerator for c in coefficients]
-    imag = [(c.b * scale).numerator for c in coefficients]
-
-    def ratio(n, k):
-        monomials = _monomials(n, k)
-        den = scale * _grid_factor(ctx, n, k)
-        return QuadraticRational(Fraction(sum(map(mul, real, monomials)), den),
-                                 Fraction(sum(map(mul, imag, monomials)), den), -1)
-    return Certificate(ctx, ratio, label)
+        re, im, u, v = _cleared_identity(ctx, n, k)
+        real = [b_re * m1 * u - m0 * v
+                for m0, m1 in zip(_monomials(n, k), _monomials(n, k + 1))]
+        imag = [b_im * m1 * u for m1 in _monomials(n, k + 1)]
+        rows.append(real + [-x for x in imag] + [re])
+        rows.append(imag + real + [im])
+    top, det = _solve(rows)
+    scale = lcm(*(det // gcd(det, x) for x in top))
+    coefficients = tuple(x * scale // det for x in top)
+    return Certificate(ctx, scale, coefficients[:6], coefficients[6:], label)
 
 
 def certificate_labels(target=None):

@@ -1,7 +1,8 @@
 """CLI surface: exit codes, output shapes, file writing.
 
 Every invocation goes through cli.run, which must return an int and
-never raise; 0 success, 1 computational failure, 2 usage error.
+never raise; 0 success, 1 computational failure, 2 usage error. The one
+exception is a closed stdout, which cli.main silences.
 """
 
 import json
@@ -514,3 +515,21 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert digits_from_rows(proc.stdout) == machin.log_decimal(2, 20)
+
+
+def test_closed_stdout_exits_quietly():
+    # 70000 digits fill more than a pipe buffer, so the child is still
+    # writing when the reader closes after one line
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=str(Path(logseries.__file__).resolve().parents[1]))
+    with subprocess.Popen(
+            [sys.executable, "-m", "logseries", "compute", "--p", "2",
+             "--digits", "70000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first.startswith("# log(2) digits=70000")
+    assert (code, err) == (1, "")

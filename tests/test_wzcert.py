@@ -8,12 +8,13 @@ with reference versions built on closed-form companion values.
 Digit-level checks lean on the interval oracle.
 """
 
+import dataclasses
 from fractions import Fraction
-from math import ceil, log
+from math import ceil, isqrt, log
 
 import pytest
 
-from logseries import machin, seriesdef, wzcert
+from logseries import cli, machin, seriesdef, wzcert
 from logseries.exactnum import QuadraticRational
 from logseries.wzcert import (
     Certificate,
@@ -130,63 +131,70 @@ def test_step_ratios_match_closed_form():
         for variant in (1, 2) for p in (5, QuadraticRational(2, 1, -1))
         for s, t in ((1, 0), (3, 2))]
     for ctx in contexts:
+        (a_re, a_im, a_den), (b_re, b_im, b_den) = ctx.n_constant, ctx.k_constant
+        assert a_den > 0 and b_den > 0
         for n in range(6):
             for k in range(6):
                 here = f_st(ctx, n, k)
                 assert ctx.n_ratio(n, k) * here == f_st(ctx, n + 1, k), (ctx, n, k)
                 assert ctx.k_ratio(n, k) * here == f_st(ctx, n, k + 1), (ctx, n, k)
+                # the int factors on their own, without n_ratio / k_ratio
+                na, da, nb, db = ctx.steps(n, k)
+                assert min(na, da, nb, db) > 0
+                a = QuadraticRational(Fraction(a_re * na, a_den * da),
+                                      Fraction(a_im * na, a_den * da), -1)
+                b = QuadraticRational(Fraction(b_re * nb, b_den * db),
+                                      Fraction(b_im * nb, b_den * db), -1)
+                assert a * here == f_st(ctx, n + 1, k), (ctx, n, k)
+                assert b * here == f_st(ctx, n, k + 1), (ctx, n, k)
 
 
 def _reference_telescoping_check(cert, n_max, k_max):
     # The identity itself, on closed-form companion values.
     ctx = cert.context
-    failures, poles = [], []
+    failures = []
     for n in range(n_max + 1):
         for k in range(k_max + 1):
-            try:
-                here = cert.ratio(n, k)
-                right = cert.ratio(n, k + 1)
-            except ZeroDivisionError:
-                poles.append((n, k))
-                continue
             lhs = f_st(ctx, n + 1, k) - f_st(ctx, n, k)
-            rhs = right * f_st(ctx, n, k + 1) - here * f_st(ctx, n, k)
+            rhs = (cert.ratio(n, k + 1) * f_st(ctx, n, k + 1)
+                   - cert.ratio(n, k) * f_st(ctx, n, k))
             if lhs != rhs:
                 failures.append((n, k))
     return wzcert.TelescopingReport(
-        cert.label, n_max, k_max, (n_max + 1) * (k_max + 1),
-        tuple(failures), tuple(poles))
+        cert.label, n_max, k_max, (n_max + 1) * (k_max + 1), tuple(failures))
 
 
-def _holey(n, k):
-    if (n, k) == (2, 3):
-        raise ZeroDivisionError("pole")
-    return QuadraticRational(1, 0, -1)
+def _moved(cert, part, index, by):
+    # the certificate with one coefficient of its real or imag part moved
+    coefficients = list(getattr(cert, part))
+    coefficients[index] += by
+    return dataclasses.replace(cert, label=f"{part}[{index}]{by:+d}",
+                               **{part: tuple(coefficients)})
+
+
+def _flipped(cert):
+    return dataclasses.replace(cert, imag=tuple(-c for c in cert.imag),
+                               label="flipped")
 
 
 def test_telescoping_check_matches_closed_form_reference():
     certs = [certificate_get(label) for label in certificate_labels()]
     good = certificate_get("log2-s2t1")
     conjugate = certificate_get("log5-s2t1+i")
-    certs += [
-        Certificate(good.context,
-                    lambda n, k: good.ratio(n, k) + Fraction(1, 1000), "nudged"),
-        Certificate(conjugate.context,
-                    lambda n, k: conjugate.ratio(n, k).conjugate(), "flipped"),
-        Certificate(WZContext(1, 2, 2, 1), _holey, "holey"),
-    ]
+    certs += [_moved(good, "real", 5, 1), _moved(good, "real", 1, -1),
+              _moved(conjugate, "imag", 3, 1), _flipped(conjugate)]
     for cert in certs:
         report = certificate_telescoping_check(cert, 5, 5)
         assert report == _reference_telescoping_check(cert, 5, 5), cert.label
-    assert [certificate_telescoping_check(c, 5, 5).passed for c in certs[-3:]] \
-        == [False, False, False]
+    assert [certificate_telescoping_check(c, 5, 5).passed for c in certs[-4:]] \
+        == [False, False, False, False]
 
 
 def test_telescoping_degenerate_parameter_passes():
     # At p = 1 every companion value is 0, so the identity holds for any
     # ratio; it is the one context where dividing by F would be wrong.
-    cert = Certificate(WZContext(1, 1, 2, 1),
-                       lambda n, k: QuadraticRational(n - 2 * k, 3, -1), "degenerate")
+    cert = Certificate(WZContext(1, 1, 2, 1), 7, (0, 0, -2, 0, 1, 0),
+                       (0, 0, 0, 0, 0, 3), "degenerate")
     report = certificate_telescoping_check(cert, 6, 6)
     assert report.passed and report.points == 49
     assert report == _reference_telescoping_check(cert, 6, 6)
@@ -235,7 +243,9 @@ PRINTED_CERTIFICATES = {
 def test_derived_certificates_equal_the_printed_ones():
     assert certificate_labels() == list(PRINTED_CERTIFICATES)
     for label, (scale, real, imag) in PRINTED_CERTIFICATES.items():
-        ratio = certificate_get(label).ratio
+        cert = certificate_get(label)
+        assert cert.scale == scale, label  # the least common denominator
+        ratio = cert.ratio
         for n in range(21):
             for k in range(21):
                 den = scale * (6 * n + 2 * k + 3) * (6 * n + 2 * k + 5)
@@ -259,7 +269,7 @@ def test_the_grid_check_rejects_a_solve_without_a_certificate():
     # equations still have a solution, and the grid check refuses it.
     cert = wzcert._derive(WZContext(1, 2, 3, 1), "log2-s3t1")
     report = certificate_telescoping_check(cert, 5, 5)
-    assert report.failures[0] == (0, 3) and not report.poles
+    assert report.failures[0] == (0, 3)
 
 
 def test_registry_has_conjugate_pairs():
@@ -272,43 +282,57 @@ def test_registry_has_conjugate_pairs():
         certificate_get("log11-s2t1")
 
 
+def test_conjugate_certificates_have_conjugate_coefficients():
+    for stem in ("log5-s2t1", "log5-s1t2"):
+        plus, minus = certificate_get(f"{stem}+i"), certificate_get(f"{stem}-i")
+        assert (minus.scale, minus.real) == (plus.scale, plus.real), stem
+        assert minus.imag == tuple(-c for c in plus.imag) and any(plus.imag), stem
+
+
 def test_telescoping_all_certificates_full_grid():
     for label in certificate_labels():
         report = certificate_telescoping_check(certificate_get(label), 20, 20)
         assert report.points == 441, label
-        assert report.passed, (label, report.failures[:4], report.poles[:4])
+        assert report.passed, (label, report.failures[:4])
 
 
 def test_telescoping_rejects_perturbed_certificate():
     good = certificate_get("log2-s2t1")
-
-    def nudged(n, k):
-        return good.ratio(n, k) + Fraction(1, 1000)
-
-    report = certificate_telescoping_check(
-        Certificate(good.context, nudged, "nudged"), 5, 5)
+    report = certificate_telescoping_check(_moved(good, "real", 2, 1), 5, 5)
     assert report.failures
+
+
+def test_every_moved_coefficient_fails_the_grid(capsys, monkeypatch):
+    # Each coefficient of a real and of a complex certificate, moved by
+    # one, is caught on the default grid at a named point.
+    moved = [_moved(certificate_get("log5-s2t1+i"), part, index, by)
+             for part in ("real", "imag") for index in range(6) for by in (1, -1)]
+    moved += [_moved(certificate_get("log2-s2t1"), "real", index, by)
+              for index in range(6) for by in (1, -1)]
+    assert len(moved) == 36
+    for cert in moved:
+        report = certificate_telescoping_check(cert)
+        assert report.failures, cert.label
+        n, k = report.failures[0]
+        assert 0 <= n <= 20 and 0 <= k <= 20, cert.label
+    # the k^2 coefficient never reaches the k = 0 sum, so only the grid
+    # verdict fails, and wz-verify says so
+    derive = wzcert.certificate_get
+    monkeypatch.setattr(wzcert, "certificate_get",
+                        lambda label: _moved(derive(label), "real", 0, 1))
+    assert cli.run(["wz-verify", "--p", "2", "--grid", "5", "--digits", "20"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert all("telescoping FAILED on the 6x6 grid" in line and line.endswith(": yes")
+               for line in lines)
 
 
 def test_telescoping_pins_conjugate_sign():
     # Flipping the imaginary part of a conjugate-parameter certificate must
     # break the identity, so the grid check sees a wrong sign pairing.
-    good = certificate_get("log5-s2t1+i")
-
-    def flipped(n, k):
-        return good.ratio(n, k).conjugate()
-
     report = certificate_telescoping_check(
-        Certificate(good.context, flipped, "flipped"), 5, 5)
+        _flipped(certificate_get("log5-s2t1+i")), 5, 5)
     assert report.failures
-
-
-def test_telescoping_reports_poles_without_raising():
-    ctx = WZContext(1, 2, 2, 1)
-    report = certificate_telescoping_check(Certificate(ctx, _holey, "holey"), 4, 4)
-    assert (2, 3) in report.poles
-    assert (2, 2) in report.poles  # the k+1 evaluation hits the pole too
-    assert not report.passed
 
 
 def test_certificate_terms_equal_catalog_terms():
@@ -353,24 +377,43 @@ def test_gst_conjugate_sums_are_conjugate():
     assert plus.conjugate_pair and minus.conjugate_pair
 
 
+def _g(cert, n):
+    return cert.ratio(n, 0) * f_st(cert.context, n, 0)
+
+
 def test_gst_divergence_guard():
     ctx = WZContext(1, 2, 2, 1)
-
-    def growing(n, k):
-        return QuadraticRational(10 ** (4 * n), 0, -1)
-
+    # r(n, 0) = 10^9 n^2 + 1: G(1, 0) is far above G(0, 0)
+    growing = Certificate(ctx, 1, (0, 0, 0, 10 ** 9, 0, 1), (0,) * 6, "growing")
+    assert _g(growing, 1).norm() > _g(growing, 0).norm()
     with pytest.raises(ValueError, match="do not decrease"):
-        gst_series_sum(Certificate(ctx, growing, "growing"), 10, 128)
+        gst_series_sum(growing, 10, 128)
 
-    # flat has G(n, 0) = 1 for every n, and equal magnitudes count as not
-    # decreasing; halving has G(n, 0) = 2^-n and sums
-    def flat(n, k):
-        return 1 / f_st(ctx, n, 0)
-
-    def halving(n, k):
-        return Fraction(1, 2 ** n) / f_st(ctx, n, 0)
-
+    # r(n, 0) = (top - 1) n + 1 with G(1, 0) = G(0, 0): equal magnitudes
+    # count as not decreasing
+    unit = Certificate(ctx, 1, (0,) * 5 + (1,), (0,) * 6, "unit")
+    top = _g(unit, 0) / _g(unit, 1)
+    flat = Certificate(ctx, 1, (0, 0, 0, 0, int(top.a) - 1, 1), (0,) * 6, "flat")
+    assert _g(flat, 1) == _g(flat, 0)
     with pytest.raises(ValueError, match="do not decrease"):
-        gst_series_sum(Certificate(ctx, flat, "flat"), 10, 128)
-    assert exact_series_sum(Certificate(ctx, halving, "halving"), 10) \
-        == 2 - Fraction(1, 2 ** 10)
+        gst_series_sum(flat, 10, 128)
+
+    # the least int top with |G(1, 0)| > |G(0, 0)| grows by under a factor
+    # 2 in squared norm; here A is complex, with |A|^2 = 5 (na/(10 da))^2
+    ctx = WZContext(1, QuadraticRational(2, 1, -1), 1, 0)
+    unit = Certificate(ctx, 1, (0,) * 5 + (1,), (0,) * 6, "unit")
+    top = isqrt(int(_g(unit, 0).norm() / _g(unit, 1).norm())) + 1
+    barely = Certificate(ctx, 1, (0, 0, 0, 0, top - 1, 1), (0,) * 6, "barely")
+    assert 1 < _g(barely, 1).norm() / _g(barely, 0).norm() < 2
+    with pytest.raises(ValueError, match="do not decrease"):
+        gst_series_sum(barely, 10, 128)
+
+
+def test_exact_series_sum_of_a_constant_certificate():
+    # A registry context's A is real; (1, 0) at 2 + i makes it complex.
+    ctx = WZContext(1, QuadraticRational(2, 1, -1), 1, 0)
+    assert ctx.n_constant[1] != 0
+    for ctx in (WZContext(1, 2, 2, 1), ctx):
+        constant = Certificate(ctx, 3, (0,) * 5 + (1,), (0,) * 5 + (2,), "constant")
+        assert exact_series_sum(constant, 10) \
+            == sum(_g(constant, n) for n in range(11)), ctx
