@@ -10,8 +10,8 @@ pfbeta_residual), gives a series' summand as an exact rational function
 (summand_quotient, which compares a catalog row with its family
 member), builds the integer integrand pair u(x)/v(x) for the degree-2
 rows, validates the integral identities by high-precision quadrature
-against the machin oracle, and evaluates the four hypergeometric closed
-forms that assemble the same constants out of atanh and log terms.
+against the machin oracle, and reduces the four hypergeometric closed
+forms, each checked against its series, to one exact rational logarithm.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import lcm
 
 import mpmath
 
-from .exactnum import IntPoly, poly_gcd
+from .exactnum import IntPoly, QuadraticRational, poly_gcd
 from . import binsplit, machin, seriesdef
 from .seriesdef import estimate_terms, gamma_quotient_motive
 
@@ -281,13 +281,10 @@ def phi_closed_forms(z_squared, bits):
 
     z is the principal square root of z_squared, and the rate of the
     series, 4/(27 z^2 (1-z^2)^2), is exact. Square roots and logarithms
-    use principal branches. The inner logarithm is only defined up to
-    2 pi i, and for some z the principal value lands one wrap away from
-    the branch the identities need (real z between 1 and sqrt(2), for
-    instance); the defining series fix the branch unambiguously, so the
-    wrap is chosen to match the first series and then every returned
-    value is checked to 2^-bits against its own series, so a wrong
-    branch cannot escape.
+    use principal branches, except that the inner logarithm of phi_L
+    takes one wrap of 2 pi i exactly when 4/3 < z^2 < 2: there z^2-2+ir,
+    r = sqrt(3z^2-4) > 0, has an argument above pi/2. Every value is
+    checked to 2^-bits against its series, so a wrong branch raises.
     """
     z_squared = Fraction(z_squared)
     if z_squared in (0, 1, Fraction(1, 3)):
@@ -295,25 +292,15 @@ def phi_closed_forms(z_squared, bits):
     rho = Fraction(4) / (27 * z_squared * (1 - z_squared) ** 2)
     if abs(rho) >= 1:
         raise ValueError("the defining series diverge for this z")
+    wrap = 1 if Fraction(4, 3) < z_squared < 2 else 0
     with mpmath.workdps(int(bits * 0.30103) + 15):
         series = _phi_series(rho, mpmath.mp.dps)
         z2 = mpmath.mpc(z_squared.numerator) / z_squared.denominator
         zz = mpmath.sqrt(z2)
-        allowed = mpmath.mpf(2) ** -bits
         inverse = mpmath.atanh(1 / zz)
         root = mpmath.sqrt(3 * z2 - 4)
-        base = mpmath.log((z2 - 2 + mpmath.mpc(0, 1) * root)
-                          / (z2 - 2 - mpmath.mpc(0, 1) * root))
-        phi_l = None
-        for wrap in (0, 1, -1):
-            candidate = (mpmath.mpc(0, 1) / root
-                         * (base + 2 * wrap * mpmath.pi * mpmath.mpc(0, 1)))
-            probe = (6 * zz * inverse + (3 * z2 - 2) * candidate) / (1 - 3 * z2)
-            if abs(probe - series[0]) <= allowed:
-                phi_l = candidate
-                break
-        if phi_l is None:
-            raise ValueError("no branch of the closed forms matches the defining series")
+        phi_l = 1j / root * (mpmath.log((z2 - 2 + 1j * root) / (z2 - 2 - 1j * root))
+                             + 2j * wrap * mpmath.pi)
         phi_a = (6 * zz * inverse + (3 * z2 - 2) * phi_l) / (1 - 3 * z2)
         phi_b = (3 * zz * (1 - z2) / (2 * (1 - 3 * z2))
                  * (inverse - zz / 2 * phi_l))
@@ -324,22 +311,37 @@ def phi_closed_forms(z_squared, bits):
                  + z2 * (3 * z2 - 5) / 2 * phi_l) / (2 * (1 - z2) * (1 - 3 * z2))
         closed = (phi_a, phi_b, phi_c, phi_d)
         for got, want, name in zip(closed, series, "ABCD"):
-            if abs(got - want) > allowed:
+            if abs(got - want) > mpmath.mpf(2) ** -bits:
                 raise ValueError(f"closed form {name} disagrees with its series "
                                  f"(branch failure) by {mpmath.nstr(abs(got - want), 3)}")
         return closed
 
 
 def log_from_closed_forms(p, bits=160):
-    """log p assembled from the B/C closed-form combination of its
-    degree-2 table row; complex arithmetic, returned as an mpmath value
-    whose imaginary part is a branch-selection residual near zero.
+    """Exact rationals (e, x) with log p = e log x, from the B/C
+    closed-form combination of p's degree-2 table row.
 
-    The algebraic point is the principal square root of the row's exact
-    rational z^2; it is imaginary for p = 5 and p = 10.
+    Once the closed forms pass their series checks, the combination is
+    z q atanh(1/z) + mu phi_L with q and mu rational in the exact z^2:
+    one rational logarithm when mu = 0 and z > 1 is rational, or when
+    q = 0 and s = sqrt(4-3z^2) > 0 is, as phi_L = log((z^2-2-s)/(z^2-2+s))/s.
+    Any other row, or a logarithm other than log p, raises ValueError.
     """
     row = seriesdef.d2_params(p)
-    _, phi_b, phi_c, _ = phi_closed_forms(row.z_squared, bits)
-    with mpmath.workprec(bits + 16):
-        return (Fraction(6 * row.b - row.a, 24 * row.c) * phi_b
-                + Fraction(5 * row.a - 6 * row.b, 24 * row.c) * phi_c)
+    z2 = row.z_squared
+    phi_closed_forms(z2, bits)
+    alpha = Fraction(6 * row.b - row.a, 24 * row.c)
+    beta = Fraction(5 * row.a - 6 * row.b, 24 * row.c)
+    w = 3 * (1 - z2) / (2 * (1 - 3 * z2))
+    q = w * (alpha - beta * (9 * z2 ** 2 - 9 * z2 + 1))
+    mu = -z2 * w * (alpha + beta * (9 * z2 ** 2 - 15 * z2 + 5)) / 2
+    z, s = QuadraticRational.root(z2), QuadraticRational.root(4 - 3 * z2)
+    if mu == 0 and z.is_rational() and z.a > 1:
+        e, x = q * z.a / 2, (z.a + 1) / (z.a - 1)
+    elif q == 0 and s.is_rational() and s.a > 0:
+        e, x = mu / s.a, (z2 - 2 - s.a) / (z2 - 2 + s.a)
+    else:
+        raise ValueError(f"p={p}: q={q} and mu={mu} give no rational logarithm")
+    if not (e > 0 and x > 0 and x ** e.numerator == p ** e.denominator):
+        raise ValueError(f"p={p}: the combination is {e} * log({x}), not log({p})")
+    return e, x

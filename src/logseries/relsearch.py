@@ -347,7 +347,9 @@ def search(motive: Motive, target: FixedReal, target_weight: int,
     h = d - target_weight fixes how many sums enter the detection, and
     the working precision never drops below 20*(h+2) decimal digits,
     and a target with fewer bits than confirmation then needs raises
-    ValueError. Candidates are returned sorted by series cost. Lattice
+    ValueError, as does a box where no lattice rate passes the filters:
+    an empty result then would claim an absence that was never searched
+    for. Candidates are returned sorted by series cost. Lattice
     points are independent of each other, so failures at one point only
     log and move on.
     """
@@ -360,8 +362,14 @@ def search(motive: Motive, target: FixedReal, target_weight: int,
     if target.bit_precision < target_bits:
         raise ValueError(f"target carries {target.bit_precision} bits but "
                          f"confirmation needs {target_bits}")
+    points = list(_admissible_points(strategy, d, wd))
+    if not points:
+        cost_text = (f" and cost at most {strategy.cost_bound}"
+                     if strategy.cost_bound > 0 else "")
+        raise ValueError(f"no lattice rate passed the filters "
+                         f"(rate below {RHO_BOUND}{cost_text})")
     found = []
-    for rho, cost, n_terms in _admissible_points(strategy, d, wd):
+    for rho, cost, n_terms in points:
         for sign in (1, -1):
             candidate = _examine_point(motive, target, h, sign * rho,
                                        n_terms, bits, cost)

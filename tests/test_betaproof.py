@@ -1,5 +1,6 @@
 import math
 import random
+import types
 from fractions import Fraction
 
 import mpmath
@@ -265,21 +266,43 @@ def test_phi_alpha_form_combination():
 
 
 def test_log_from_closed_forms_all_rows():
-    with mpmath.workdps(60):
-        for p in (2, 3, 5, 7, 10):
-            value = bp.log_from_closed_forms(p, 160)
-            want = mpmath.mpf(machin.log_decimal(p, 55))
-            assert abs(value - want) < mpmath.mpf(10) ** -40, p
+    for p in (2, 3, 5, 7, 10):
+        assert bp.log_from_closed_forms(p, 160) == (1, p), p
 
 
 def test_log_from_closed_forms_irrational_point_at_high_precision():
     # p = 10 has the irrational z = i sqrt(5/3); its exact z^2 carries
-    # the closed forms to any precision
-    value = bp.log_from_closed_forms(10, bits=700)
-    want = Fraction(machin.log_decimal(10, 210))
-    with mpmath.workprec(720):
-        gap = abs(value - mpmath.mpf(want.numerator) / want.denominator)
-        assert gap < mpmath.mpf(10) ** -200, gap
+    # the closed forms' series checks to any precision
+    assert bp.log_from_closed_forms(10, bits=700) == (1, 10)
+
+
+def _perturbed_rows():
+    """Each d = 2 row with one of a, b, c moved by +-1: 30 mutants.
+
+    A plain namespace stands in for the row, because D2Params refuses
+    an (a, b, c) that disagrees with its alpha form."""
+    for p in (2, 3, 5, 7, 10):
+        row = sd.d2_params(p)
+        for name in "abc":
+            for step in (1, -1):
+                fields = dict(vars(row), **{name: getattr(row, name) + step})
+                yield p, types.SimpleNamespace(**fields)
+
+
+@pytest.mark.parametrize("p,row", list(_perturbed_rows()))
+def test_log_from_closed_forms_refuses_a_perturbed_row(monkeypatch, p, row):
+    monkeypatch.setattr(sd, "d2_params", lambda _: row)
+    with pytest.raises(ValueError, match=f"^p={p}: "):
+        bp.log_from_closed_forms(p, 64)
+
+
+@pytest.mark.parametrize("z_squared", [
+    Fraction(3, 2), Fraction(16, 9), Fraction(199, 100),    # one wrap
+    Fraction(201, 100), Fraction(5, 2), 9, -4, Fraction(-5, 3),    # principal
+])
+def test_phi_branch_rule_on_both_sides_of_its_ends(z_squared):
+    # each closed form passes its series check only on the derived branch
+    assert len(bp.phi_closed_forms(z_squared, 64)) == 4
 
 
 def test_phi_rejects_poles_and_divergence():

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,16 @@ def test_search_empty_box(capsys):
         "<= 2^64*sqrt(3)" in out
 
 
+def test_search_box_without_an_admissible_rate_is_an_error(capsys):
+    # the only rate, 2^0 = 1, is at or above RHO_BOUND: nothing is searched,
+    # so no absence of relations may be reported
+    code, out, err = invoke(capsys, ["search", "--p", "2", "--primes", "2",
+                                     "--exponents=0:0", "--digits", "60"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: no lattice rate passed the filters (rate below 3/5)\n"
+
+
 def test_search_reports_the_digits_it_ran_at(capsys, caplog):
     # 50 digits sit below the 20*(h+2) = 60 digit floor of a d = 2 motive
     code, out, _ = invoke(capsys, ["search", "--p", "3", "--primes", "3",
@@ -326,8 +337,8 @@ def test_prove_closed_form(capsys):
     code, out, _ = invoke(capsys, ["prove", "--p", "5", "--method", "closed",
                                    "--digits", "35"])
     assert code == 0
-    assert "PASS" in out
-    assert "branch residual" in out
+    assert out.splitlines() == ["# log(5) from closed forms, digits=35",
+                                "combination = 1 * log(5), exactly", "PASS"]
 
 
 def test_prove_closed_form_irrational_point_beyond_80_digits(capsys):
@@ -337,6 +348,22 @@ def test_prove_closed_form_irrational_point_beyond_80_digits(capsys):
                                    "--digits", "90"])
     assert code == 0
     assert out.rstrip().endswith("PASS")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 10])
+def test_prove_closed_form_perturbed_row_fails_by_name(capsys, monkeypatch, p):
+    from logseries import seriesdef
+    row = seriesdef.d2_params(p)
+    for name in "abc":
+        for step in (1, -1):
+            fields = dict(vars(row), **{name: getattr(row, name) + step})
+            monkeypatch.setattr(seriesdef, "d2_params",
+                                lambda _, f=fields: types.SimpleNamespace(**f))
+            code, out, err = invoke(capsys, ["prove", "--p", str(p),
+                                             "--method", "closed"])
+            assert code == 1, (name, step)
+            assert "PASS" not in out
+            assert err.startswith(f"error: p={p}: "), (name, step, err)
 
 
 def test_prove_unsupported_target(capsys):
@@ -471,6 +498,14 @@ def test_family_target_at_or_below_zero(capsys):
 
 def test_family_malformed_target(capsys):
     assert invoke(capsys, ["family", "--method", "d4", "--p", "abc"])[0] == 2
+
+
+def test_family_zero_denominator_is_a_usage_error(capsys):
+    code, out, err = invoke(capsys, ["family", "--method", "d4", "--p", "1/0"])
+    assert code == 2
+    assert out == ""
+    assert "argument --p: not a fraction: '1/0'" in err
+    assert "Traceback" not in err
 
 
 def test_family_at_p_one_is_exact_zero():

@@ -1,5 +1,6 @@
 """Package layout: no module reaches into another module's private names,
-and binsplit reads only the series specification from seriesdef.
+binsplit reads only the series specification from seriesdef, and only
+the numeric layers import mpmath.
 
 Each module of `src/logseries` is parsed with `ast`. The package imports
 its siblings relatively, so a `from .mod import _name`, or an attribute
@@ -69,6 +70,35 @@ def test_the_checker_sees_private_imports_and_reads(tmp_path):
     assert _names_from(bad, "seriesdef") == {"_hidden", "Motive"}
     assert _names_from(bad, "binsplit") == {"*"}
     assert _names_from(bad, "machin") == set()
+
+
+def _imports_mpmath(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) \
+                and any(alias.name.split(".")[0] == "mpmath" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").split(".")[0] == "mpmath":
+            return True
+    return False
+
+
+def test_only_the_numeric_layers_import_mpmath():
+    # quadrature and the closed forms (betaproof), the cost column
+    # (seriesdef) and the alternating (r, phi) values (altseries) are
+    # transcendental; the front end and the exact layers are not
+    users = {path.stem for path in PACKAGE.glob("*.py") if _imports_mpmath(path)}
+    assert users <= {"betaproof", "seriesdef", "altseries"}
+
+
+def test_the_mpmath_checker_sees_both_import_forms(tmp_path):
+    probe = tmp_path / "probe.py"
+    for text, expected in (("import mpmath\n", True),
+                           ("from mpmath import mpf\n", True),
+                           ("import math\nfrom . import betaproof\n", False)):
+        probe.write_text(text)
+        assert _imports_mpmath(probe) is expected, text
 
 
 def test_binsplit_reads_only_the_spec_from_seriesdef():

@@ -351,16 +351,28 @@ def test_search_rediscovers_a_degree6_series(monkeypatch):
 
 
 def test_search_with_unreachable_rho_bound_is_empty():
-    # the only lattice rate is 2^0 = 1, at or above RHO_BOUND
+    # the only lattice rate is 2^0 = 1, at or above RHO_BOUND: an empty
+    # result would claim an absence that no lattice point was tried for
     target = _log_fixed(3, 200, 660)
     strategy = rs.LatticeStrategy(primes=(2,), exponent_bounds=((0, 0),))
-    assert rs.search(_m2a(), target, 1, strategy) == []
+    with pytest.raises(ValueError, match="no lattice rate passed the filters"):
+        rs.search(_m2a(), target, 1, strategy)
 
 
 def test_search_with_no_primes_is_empty():
     target = _log_fixed(3, 200, 660)
     strategy = rs.LatticeStrategy(primes=(), exponent_bounds=())
-    assert rs.search(_m2a(), target, 1, strategy) == []
+    with pytest.raises(ValueError, match="no lattice rate passed the filters"):
+        rs.search(_m2a(), target, 1, strategy)
+
+
+def test_search_names_the_cost_bound_when_it_empties_the_box():
+    # 1/3 passes the rate filter, but its cost 4*2/log 3 = 7.3 is above 2
+    target = _log_fixed(3, 200, 660)
+    strategy = rs.LatticeStrategy(primes=(3,), exponent_bounds=((-1, -1),),
+                                  cost_bound=2.0)
+    with pytest.raises(ValueError, match="cost at most 2.0"):
+        rs.search(_m2a(), target, 1, strategy)
 
 
 def test_search_refuses_a_target_too_short():
