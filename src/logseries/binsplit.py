@@ -40,16 +40,19 @@ printed digit is too.
 
 `cross_verify` returns (result, agreed): evaluate(spec_a) and how many
 of its leading digits spec_b confirms. The two evaluations share
-nothing, so with 2 or more usable CPUs spec_b runs in a forked child
-that sends back only its digit text through a pipe, while the caller
-evaluates spec_a; with one CPU, no os.fork or other threads running,
-both run in-process. The output, the count and every error are
-byte-identical either way.
+nothing, so spec_b runs beside spec_a through `run_beside`, the one
+place in the package that forks: with 2 or more usable CPUs and one
+thread running, a forked child computes one part of a job and sends
+back only its value through a pipe while the caller computes the other;
+with one CPU, no os.fork or other threads running, both run
+in-process. `relsearch.search` splits its lattice points the same way.
+The output and every error are byte-identical either way.
 """
 
 from __future__ import annotations
 
 import decimal
+import marshal
 import math
 import os
 import threading
@@ -416,21 +419,16 @@ def cross_verify(spec_a: SeriesSpec, spec_b: SeriesSpec,
     """evaluate(spec_a, digits) and the count of its leading digits that
     spec_b's expansion confirms, for two series of the same constant.
 
-    With 2 or more usable CPUs, spec_b runs in a forked child process
-    while this one evaluates spec_a (_evaluate_beside). Otherwise, or
-    when this process runs more than one thread (a fork copies only the
-    calling thread, so a lock another one holds would stay held in the
-    child), both run here, one after the other. The digits, the count
+    spec_b runs beside spec_a (run_beside): in a forked child when two
+    processes can run, otherwise here after spec_a. The digits, the count
     and every error are the same either way. Raises VerificationError
     (naming the first differing position) if they agree to fewer than
     `digits` places.
     """
-    if (hasattr(os, "fork") and _usable_cpus() >= 2
-            and threading.active_count() == 1):
-        ra, text_b = _evaluate_beside(spec_a, spec_b, digits)
-    else:
-        ra = evaluate(spec_a, digits)
-        text_b = evaluate(spec_b, digits).decimal_digits
+    ra, text_b = run_beside(
+        lambda: evaluate(spec_a, digits),
+        lambda: evaluate(spec_b, digits).decimal_digits,
+        f"evaluating {spec_b.label}", "its digits")
     text_a = ra.decimal_digits
     # the texts hold digits, '.' and '-'; walk them only on a mismatch
     common = min(len(text_a), len(text_b))
@@ -456,19 +454,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _evaluate_beside(spec_a: SeriesSpec, spec_b: SeriesSpec,
-                     digits: int) -> tuple[DigitsResult, str]:
-    """(evaluate(spec_a, digits), evaluate(spec_b, digits).decimal_digits),
-    the second from a forked child while this process computes the first.
+def run_beside(here, there, doing: str, sends: str):
+    """(here(), there()), with there() run in a forked child while this
+    process runs here(), when 2 or more CPUs are usable and this process
+    runs one thread: a fork copies only the calling thread, so a lock
+    another one holds would stay held in the child. Otherwise both run
+    here, here() first. The values and every error are the same either
+    way.
 
-    The child writes one kind byte and a text to a pipe: "=" and the
-    digits, "V" and a ValueError's message, or "R" and any other
-    exception's type and message; here they come back as the digits, a
-    ValueError or a RuntimeError. A child that dies before it has
-    written raises RuntimeError naming its exit status. The pipe is read
-    to EOF before the child is reaped, since 10^5 digits overflow its
-    buffer. If this side fails, the child is killed and reaped first.
+    there() returns what marshal writes: None, bools, ints, strs and
+    lists or tuples of them. The child writes one kind byte and a body
+    to a pipe: "=" and the marshalled value, "V" and a ValueError's
+    message, or "R" and any other exception's type and message; here
+    they come back as the value, a ValueError or a RuntimeError. A child
+    that dies before it has written raises RuntimeError: "the process
+    {doing} ended with exit status N before sending {sends}". The pipe
+    is read to EOF before the child is reaped, since 10^5 digits
+    overflow its buffer. If here() fails, the child is killed and
+    reaped first.
     """
+    if not (hasattr(os, "fork") and _usable_cpus() >= 2
+            and threading.active_count() == 1):
+        return here(), there()
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -483,7 +490,7 @@ def _evaluate_beside(spec_a: SeriesSpec, spec_b: SeriesSpec,
         try:
             os.close(read_fd)
             try:
-                payload = b"=" + evaluate(spec_b, digits).decimal_digits.encode()
+                payload = b"=" + marshal.dumps(there())
             except ValueError as exc:
                 payload = b"V" + str(exc).encode()
             except BaseException as exc:
@@ -496,7 +503,7 @@ def _evaluate_beside(spec_a: SeriesSpec, spec_b: SeriesSpec,
     os.close(write_fd)
     with open(read_fd, "rb") as pipe:
         try:
-            ra = evaluate(spec_a, digits)
+            mine = here()
             payload = pipe.read()
         except BaseException:
             from signal import SIGKILL
@@ -504,16 +511,16 @@ def _evaluate_beside(spec_a: SeriesSpec, spec_b: SeriesSpec,
             os.waitpid(pid, 0)
             raise
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    kind, text = payload[:1], payload[1:].decode(errors="replace")
+    kind, body = payload[:1], payload[1:]
     if kind == b"V":
-        raise ValueError(text)
+        raise ValueError(body.decode(errors="replace"))
     if kind == b"R":
-        raise RuntimeError(text)
+        raise RuntimeError(body.decode(errors="replace"))
     if kind != b"=" or code != 0:
         ended = f"signal {-code}" if code < 0 else f"exit status {code}"
-        raise RuntimeError(f"the process evaluating {spec_b.label} ended "
-                           f"with {ended} before sending its digits")
-    return ra, text
+        raise RuntimeError(f"the process {doing} ended with {ended} "
+                           f"before sending {sends}")
+    return mine, marshal.loads(body)
 
 
 def _digit_count(text: str, end: int) -> int:

@@ -10,10 +10,16 @@ or a warning says it could not decide. Detection alone is not trusted:
 every hit is checked in exact rationals, re-tested against a finer
 slice of the target, rebuilt as a series, and must reproduce the
 target to 50 digits through binary splitting before it is reported.
+
+Detection at one point (its sums and one LLL) depends on no other
+point, so from FORK_POINTS points on, a forked child detects about half
+of them (binsplit.run_beside). This process logs the warnings and
+confirms the detections in point order, as a one-process run does.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import logging
 import math
@@ -35,6 +41,22 @@ COEFF_BITS = 64
 
 # Lattice rates at or above this cannot converge usefully and are skipped.
 RHO_BOUND = Fraction(3, 5)
+
+# search splits its points with a forked child from this many points on.
+# `search --digits 200`, one process against two, medians of 20
+# alternating pairs (2 vCPUs, CPython 3.11): --p 3 --primes 3 at
+# --exponents=-5:-5 (2 points) 4.0/7.1 ms, -2:0 (4) 17.7/21.3 ms, -4:0
+# (8) 35.0/22.0 ms, -8:0 (16) 50.9/31.5 ms; --p 2 --primes 2,3 at
+# -8:-7,-8:-7 (8 points of few terms) 15.4/12.4 ms. The fork and the
+# copies-on-write it sets off cost 3 to 5 ms.
+FORK_POINTS = 8
+
+UNDECIDED = ("undecided: no relation accepted, but one with coefficient "
+             "norm <= %s is not excluded")
+
+# Set by search to a list that lindep appends its "undecided" verdicts
+# to instead of logging them, for search to log in point order.
+_held_undecided = contextvars.ContextVar("held_undecided", default=None)
 
 
 # ----------------------------------------------------------------------
@@ -229,9 +251,11 @@ def lindep(values: Sequence[FixedReal], max_coeff_bits: int) -> Optional[List[in
     r2 = norm2 * (1 + 4 * n)
     short = max((i + 1 for i in range(n) if d[i + 1] <= r2 * d[i]), default=0)
     if any(row[0] != 0 for row in rows[:short]):
-        log.warning("undecided: no relation accepted, but one with "
-                    "coefficient norm <= %s is not excluded",
-                    norm_bound_text(n, max_coeff_bits))
+        held = _held_undecided.get()
+        if held is None:
+            log.warning(UNDECIDED, norm_bound_text(n, max_coeff_bits))
+        else:
+            held.append(n)
     return None
 
 
@@ -274,17 +298,61 @@ def _admissible_points(strategy: LatticeStrategy, d: int, wd: int):
         yield rho, cost, math.ceil(2.5 * wd * math.log(10) / lr)
 
 
-def _examine_point(motive, target, h, rho, n_terms, bits, cost):
-    point = Motive(motive.num_params, motive.den_params, rho)
-    exact = [_exact_si(point, i, n_terms) for i in range(h + 1)]
-    sums = [FixedReal.from_rational(x, bits) for x in exact]
-    tgt = FixedReal.from_rational(target.to_fraction(), bits)
-    values = [tgt] + [sums[i] for i in range(h, -1, -1)]
-    u = lindep(values, COEFF_BITS)
-    if u is None or u[1] == 0:
+def _detection_values(target: FixedReal, exact, bits: int):
+    """lindep's input: the target, then the exact sums s_h..s_0, each
+    cut to `bits`."""
+    return [FixedReal.from_rational(x, bits)
+            for x in [target.to_fraction()] + exact[::-1]]
+
+
+def _detect(motive, target, h, bits, points):
+    """(u, undecided, sums) for each (rho, cost, n_terms) of `points`:
+    lindep's vector or None, whether its "undecided" warning is due, and
+    with a vector the exact sums s_0..s_h as (numerator, denominator)
+    pairs. It logs nothing and returns only ints, so a forked child may
+    run it."""
+    verdicts = []
+    for rho, _, n_terms in points:
+        point = Motive(motive.num_params, motive.den_params, rho)
+        exact = [_exact_si(point, i, n_terms) for i in range(h + 1)]
+        held = []
+        token = _held_undecided.set(held)
+        try:
+            u = lindep(_detection_values(target, exact, bits), COEFF_BITS)
+        finally:
+            _held_undecided.reset(token)
+        sums = None if u is None else [(x.numerator, x.denominator)
+                                       for x in exact]
+        verdicts.append((u, bool(held), sums))
+    return verdicts
+
+
+def _verdicts(motive, target, h, bits, points):
+    """_detect over every point, in point order. From FORK_POINTS points
+    on, a child takes rho_j with sign (-1)^j and this process the rest
+    (binsplit.run_beside): alternating the sign balances the two shares."""
+    if len(points) < FORK_POINTS:
+        return _detect(motive, target, h, bits, points)
+    # points run rho_0, -rho_0, rho_1, -rho_1, ...
+    child = [i % 4 in (0, 3) for i in range(len(points))]
+    here, there = binsplit.run_beside(
+        lambda: _detect(motive, target, h, bits,
+                        [p for p, c in zip(points, child) if not c]),
+        lambda: _detect(motive, target, h, bits,
+                        [p for p, c in zip(points, child) if c]),
+        f"examining {sum(child)} lattice points", "its verdicts")
+    here, there = iter(here), iter(there)
+    return [next(there if c else here) for c in child]
+
+
+def _confirm(motive, target, h, rho, bits, cost, u, sums):
+    """The candidate for lindep's vector u at rho with the exact sums
+    _detect sent, or None if u leaves out the sums or fails a check."""
+    if u[1] == 0:
         return None
     if u[1] < 0:
         u = [-x for x in u]
+    exact = [Fraction(n, d) for n, d in sums]
     # The sums are exact; re-test against a finer slice of the target.
     # Lattice noise that matched the detection precision dies here.
     fine = FixedReal.from_rational(target.to_fraction(), 2 * bits)
@@ -297,7 +365,7 @@ def _examine_point(motive, target, h, rho, n_terms, bits, cost):
     beta = -u[0]
     alphas = tuple(u[1 + h - i] for i in range(h + 1))
     spec = SeriesSpec(
-        motive=point,
+        motive=Motive(motive.num_params, motive.den_params, rho),
         numerator_poly=IntPoly(alphas),
         denominator_scale=Fraction(1),
         normalizer=Fraction(1, beta),
@@ -309,7 +377,7 @@ def _examine_point(motive, target, h, rho, n_terms, bits, cost):
         log.warning("rho=%s: relation failed the 50 digit verification", rho)
         return None
     det_resid = Fraction(0)
-    for c, v in zip(u, values):
+    for c, v in zip(u, _detection_values(target, exact, bits)):
         det_resid += c * v.to_fraction()
     return RelationCandidate(
         coefficients=(beta,) + alphas,
@@ -349,9 +417,13 @@ def search(motive: Motive, target: FixedReal, target_weight: int,
     and a target with fewer bits than confirmation then needs raises
     ValueError, as does a box where no lattice rate passes the filters:
     an empty result then would claim an absence that was never searched
-    for. Candidates are returned sorted by series cost. Lattice
-    points are independent of each other, so failures at one point only
-    log and move on.
+    for. So does a target of exactly 0, which every point reaches with
+    the trivial relation. Candidates are returned sorted by series cost.
+
+    From FORK_POINTS points on, a forked child detects rho_j with sign
+    (-1)^j when binsplit.run_beside can fork. Every warning is logged and
+    every detection confirmed here, in point order, so the candidates,
+    the warnings and their order are the same either way.
     """
     _require_complete(motive)
     d = motive.d
@@ -362,17 +434,24 @@ def search(motive: Motive, target: FixedReal, target_weight: int,
     if target.bit_precision < target_bits:
         raise ValueError(f"target carries {target.bit_precision} bits but "
                          f"confirmation needs {target_bits}")
-    points = list(_admissible_points(strategy, d, wd))
+    if target.mantissa == 0:
+        raise ValueError("the target is 0, so every lattice point has "
+                         "the trivial relation (1, 0, ..., 0)")
+    points = [(sign * rho, cost, n_terms)
+              for rho, cost, n_terms in _admissible_points(strategy, d, wd)
+              for sign in (1, -1)]
     if not points:
         cost_text = (f" and cost at most {strategy.cost_bound}"
                      if strategy.cost_bound > 0 else "")
         raise ValueError(f"no lattice rate passed the filters "
                          f"(rate below {RHO_BOUND}{cost_text})")
     found = []
-    for rho, cost, n_terms in points:
-        for sign in (1, -1):
-            candidate = _examine_point(motive, target, h, sign * rho,
-                                       n_terms, bits, cost)
+    for (rho, cost, _), (u, undecided, sums) in zip(
+            points, _verdicts(motive, target, h, bits, points)):
+        if undecided:
+            log.warning(UNDECIDED, norm_bound_text(h + 2, COEFF_BITS))
+        if u is not None:
+            candidate = _confirm(motive, target, h, rho, bits, cost, u, sums)
             if candidate is not None:
                 found.append(candidate)
     found.sort(key=lambda c: c.cost)

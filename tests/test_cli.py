@@ -259,6 +259,16 @@ def test_search_box_without_an_admissible_rate_is_an_error(capsys):
     assert err == "error: no lattice rate passed the filters (rate below 3/5)\n"
 
 
+def test_search_for_log1_is_an_error(capsys):
+    # log 1 = 0, and every lattice point has the trivial relation for
+    # it: "nothing found" would be false
+    code, out, err = invoke(capsys, ["search", "--p", "1", "--primes", "3",
+                                     "--exponents=-5:-5"])
+    assert (code, out) == (1, "")
+    assert err == ("error: the target is 0, so every lattice point has the "
+                   "trivial relation (1, 0, ..., 0)\n")
+
+
 def test_search_reports_the_digits_it_ran_at(capsys, caplog):
     # 50 digits sit below the 20*(h+2) = 60 digit floor of a d = 2 motive
     code, out, _ = invoke(capsys, ["search", "--p", "3", "--primes", "3",

@@ -1,6 +1,6 @@
 """Package layout: no module reaches into another module's private names,
-binsplit reads only the series specification from seriesdef, and only
-the numeric layers import mpmath.
+binsplit reads only the series specification from seriesdef, only the
+numeric layers import mpmath, and only binsplit forks.
 
 Each module of `src/logseries` is parsed with `ast`. The package imports
 its siblings relatively, so a `from .mod import _name`, or an attribute
@@ -107,3 +107,42 @@ def test_binsplit_reads_only_the_spec_from_seriesdef():
     assert _names_from(PACKAGE / "binsplit.py", "seriesdef") \
         <= {"SeriesSpec", "estimate_terms"}
 
+
+def _fork_uses(path):
+    """os.fork and os.pipe uses: reads through a name bound to `os`, and
+    names imported from it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    wanted = {"fork", "pipe"}
+    bound = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names
+             if alias.name == "os"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module == "os":
+            found += [f"from os import {alias.name}" for alias in node.names
+                      if alias.name in wanted]
+        elif isinstance(node, ast.Attribute) and node.attr in wanted \
+                and isinstance(node.value, ast.Name) and node.value.id in bound:
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_only_binsplit_forks():
+    # binsplit.run_beside holds the one fork, pipe, kill and reap; the
+    # other modules hand it the two halves of their work
+    users = {path.stem: uses for path in PACKAGE.glob("*.py")
+             if (uses := _fork_uses(path))}
+    assert set(users) == {"binsplit"}
+
+
+def test_the_fork_checker_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os\nimport os as system\n"
+                     "from os import pipe, getpid\n"
+                     "pid = os.fork()\nfds = system.pipe()\n"
+                     "os.getpid()\nfork = 1\n")
+    assert sorted(_fork_uses(probe)) == ["from os import pipe", "os.fork",
+                                         "system.pipe"]
+    probe.write_text("import math\nmath.fork = None\n")
+    assert _fork_uses(probe) == []

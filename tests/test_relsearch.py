@@ -1,5 +1,8 @@
 import logging
+import os
 import random
+import threading
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -239,7 +242,11 @@ def test_lll_reduce_gives_a_reduced_basis_of_the_same_lattice():
 # ----------------------------------------------------------------------
 
 def _count_lindep(monkeypatch):
-    """Record every lindep result while the test runs."""
+    """Record every lindep result while the test runs. A forked child's
+    calls would never reach this list, so the search stays in one
+    process; test_two_processes_give_the_serial_verdicts covers the
+    other path."""
+    monkeypatch.setattr(binsplit, "_usable_cpus", lambda: 1)
     results, lindep = [], rs.lindep
 
     def counting(values, max_coeff_bits):
@@ -383,6 +390,14 @@ def test_search_refuses_a_target_too_short():
         rs.search(_m2a(), target, 1, strategy)
 
 
+def test_search_refuses_a_zero_target():
+    zero = FixedReal.from_rational(Fraction(0), 660)
+    strategy = rs.LatticeStrategy(primes=(3,), exponent_bounds=((-8, 0),))
+    with pytest.raises(ValueError, match="^the target is 0, so every "
+                                         "lattice point has the trivial"):
+        rs.search(_m2a(), zero, 1, strategy)
+
+
 def test_search_rejects_incomplete_motives():
     lopsided = Motive((Fraction(1), Fraction(1, 6)),
                       (Fraction(1, 4), Fraction(3, 4)), Fraction(1, 2))
@@ -397,6 +412,161 @@ def test_search_rejects_excess_weight():
     strategy = rs.LatticeStrategy(primes=(3,), exponent_bounds=((-8, 0),))
     with pytest.raises(ValueError, match="weight"):
         rs.search(_m2a(), target, 3, strategy)
+
+
+# ----------------------------------------------------------------------
+#  Lattice points in two processes
+# ----------------------------------------------------------------------
+
+def _box(name):
+    """(motive, target, strategy, COEFF_BITS) of a named search box. At
+    5 and 9 coefficient bits the log 3 and log 2 boxes each leave one
+    point undecided: point 6, in this process's share, and point 28, in
+    the child's."""
+    log3 = (_m2a(), _log_fixed(3, 200, 660),
+            rs.LatticeStrategy((3,), ((-8, 0),), cost_bound=2.0))
+    log2 = (_m2a(), _log_fixed(2, 200, 660),
+            rs.LatticeStrategy((2, 3), ((-6, 0), (-6, 0)), cost_bound=2.0))
+    primes, bounds = DEGREE4_BOXES["log2-eq13"][:2]
+    eq13 = (catalog_get("log2-eq13").motive, _log_fixed(2, 400, 1300),
+            rs.LatticeStrategy(primes, bounds, cost_bound=2.0))
+    return {"log3": log3 + (64,), "log3-undecided": log3 + (5,),
+            "log2": log2 + (64,), "log2-undecided": log2 + (9,),
+            "log2-eq13": eq13 + (64,)}[name]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the forks, and checks that none is left unreaped."""
+    count, real_fork = [], os.fork
+
+    def fork():
+        count.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield count
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _run_search(monkeypatch, caplog, cpus, name):
+    """(candidates, per-point verdicts, log records) of a search of box
+    `name` with `cpus` usable CPUs."""
+    motive, target, strategy, coeff_bits = _box(name)
+    verdicts, real = [], rs._verdicts
+
+    def recording(*args):
+        verdicts.extend(real(*args))
+        return verdicts
+
+    caplog.clear()
+    with monkeypatch.context() as patch, \
+            caplog.at_level(logging.DEBUG, logger="logseries.relsearch"):
+        patch.setattr(binsplit, "_usable_cpus", lambda: cpus)
+        patch.setattr(rs, "COEFF_BITS", coeff_bits)
+        patch.setattr(rs, "_verdicts", recording)
+        found = rs.search(motive, target, 1, strategy)
+    records = [(r.levelname, r.getMessage()) for r in caplog.records]
+    return ([(c.rho, c.coefficients, c.cost, c.residual, c.series)
+             for c in found], verdicts, records)
+
+
+@pytest.mark.parametrize("name", ["log3", "log3-undecided", "log2",
+                                  "log2-undecided", "log2-eq13"])
+def test_two_processes_give_the_serial_verdicts(name, forks, monkeypatch,
+                                                caplog):
+    monkeypatch.setattr(rs, "FORK_POINTS", 2)
+    serial = _run_search(monkeypatch, caplog, 1, name)
+    assert forks == []
+    assert _run_search(monkeypatch, caplog, 2, name) == serial
+    assert len(forks) == 1
+    undecided = [i for i, verdict in enumerate(serial[1]) if verdict[1]]
+    assert undecided == {"log3-undecided": [6],
+                         "log2-undecided": [28]}.get(name, [])
+    warning = rs.UNDECIDED % rs.norm_bound_text(3, _box(name)[3])
+    assert [m for level, m in serial[2] if level == "WARNING"] == \
+        [warning] * len(undecided)
+
+
+def test_a_small_box_forks_nothing(forks, monkeypatch):
+    monkeypatch.setattr(binsplit, "_usable_cpus", lambda: 2)
+    strategy = rs.LatticeStrategy(primes=(3,), exponent_bounds=((-5, -5),))
+    found = rs.search(_m2a(), _log_fixed(3, 200, 660), 1, strategy)
+    assert [c.rho for c in found] == [Fraction(1, 243)]
+    assert rs.FORK_POINTS > 2
+    assert forks == []
+
+
+def test_one_cpu_or_a_second_thread_forks_nothing(forks, monkeypatch):
+    monkeypatch.setattr(rs, "FORK_POINTS", 2)
+    motive, target, strategy, _ = _box("log3")
+    monkeypatch.setattr(binsplit, "_usable_cpus", lambda: 1)
+    want = rs.search(motive, target, 1, strategy)
+    monkeypatch.setattr(binsplit, "_usable_cpus", lambda: 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    waiter.start()
+    try:
+        assert rs.search(motive, target, 1, strategy) == want
+    finally:
+        release.set()
+        waiter.join(30)
+    assert not waiter.is_alive()
+    assert forks == []
+
+
+def _fail_in_child(monkeypatch, fail):
+    """Forces the two-process path on the log 3 box (10 points, 5 in the
+    child), with the child's detection calling `fail` instead."""
+    parent, real = os.getpid(), rs._detect
+    monkeypatch.setattr(binsplit, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(rs, "FORK_POINTS", 2)
+    monkeypatch.setattr(rs, "_detect", lambda *args: (
+        fail() if os.getpid() != parent else real(*args)))
+    return _box("log3")[:3]
+
+
+def test_a_dead_child_is_reported_with_its_exit_status(forks, monkeypatch):
+    motive, target, strategy = _fail_in_child(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(RuntimeError) as info:
+        rs.search(motive, target, 1, strategy)
+    assert str(info.value) == ("the process examining 5 lattice points "
+                               "ended with exit status 3 before sending its "
+                               "verdicts")
+    assert len(forks) == 1
+
+
+def test_a_value_error_in_the_child_keeps_its_message(forks, monkeypatch):
+    def fail():
+        raise ValueError("1 values at 64 coefficient bits need 128 shared "
+                         "bits, have 8")
+
+    motive, target, strategy = _fail_in_child(monkeypatch, fail)
+    with pytest.raises(ValueError, match="^1 values at 64 coefficient bits "
+                                         "need 128 shared bits, have 8$"):
+        rs.search(motive, target, 1, strategy)
+    assert len(forks) == 1
+
+
+def test_a_failure_here_kills_and_reaps_the_child(forks, monkeypatch):
+    parent, real = os.getpid(), rs._detect
+
+    def detect(*args):
+        if os.getpid() == parent:
+            raise ValueError("this share failed")
+        time.sleep(60)  # still running when this process fails
+        return real(*args)
+
+    monkeypatch.setattr(binsplit, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(rs, "FORK_POINTS", 2)
+    monkeypatch.setattr(rs, "_detect", detect)
+    motive, target, strategy, _ = _box("log3")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^this share failed$"):
+        rs.search(motive, target, 1, strategy)
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 1
 
 
 # ----------------------------------------------------------------------
