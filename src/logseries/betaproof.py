@@ -229,15 +229,20 @@ def integral_value(pair, digits):
         return value
 
 
+def _mpf_of_digits(text):
+    """Digit text as an mpf. mpmath.mpf(text) and Fraction(text) refuse
+    over 4,300 digits; Decimal reads any length."""
+    exact = Fraction(Decimal(text))
+    return mpmath.mpf(exact.numerator) / exact.denominator
+
+
 def integral_check(pair, expected_log_p, digits):
     """Quadrature of the integrand pair against the oracle's value of
     log expected_log_p, to `digits` decimal digits."""
     with mpmath.workdps(digits + 10):
         value = integral_value(pair, digits)
-        # Fraction(str) refuses over 4,300 digits; Decimal parses any length
-        reference = Fraction(Decimal(machin.log_decimal(expected_log_p,
-                                                        digits + 10)))
-        difference = abs(value - mpmath.mpf(reference.numerator) / reference.denominator)
+        reference = _mpf_of_digits(machin.log_decimal(expected_log_p, digits + 10))
+        difference = abs(value - reference)
         passed = difference < mpmath.mpf(10) ** (-digits)
         return IntegralReport(
             p=expected_log_p,
@@ -271,7 +276,7 @@ def _phi_series(rho, digits):
              for (coeffs, start), name in zip(_PHI_SERIES, "ABCD")]
     if estimate_terms(specs[0], digits) > PHI_TERMS_LIMIT:
         raise ValueError("rho is too close to 1 for the series to converge usefully")
-    return [mpmath.mpf(binsplit.evaluate(spec, digits).decimal_digits)
+    return [_mpf_of_digits(binsplit.evaluate(spec, digits).decimal_digits)
             for spec in specs]
 
 

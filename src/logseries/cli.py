@@ -242,8 +242,8 @@ def _cmd_alternating(args):
         _emit("\n".join(lines), args.out)
         return 0
     if not hits:
-        print(f"p={args.p}: the solved rate is not rational; "
-              f"no alternating series of this shape exists")
+        _emit(f"p={args.p}: the solved rate is not rational; "
+              f"no alternating series of this shape exists", args.out)
         return 0
     _emit(_alternating_table(hits), args.out)
     return 0

@@ -63,6 +63,22 @@ _held_undecided = contextvars.ContextVar("held_undecided", default=None)
 #  Strategy and result types
 # ----------------------------------------------------------------------
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Miller-Rabin to the first twelve prime bases: exact below
+    318665857834031151167461, the least composite passing all twelve."""
+    if any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    for a in _WITNESSES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class LatticeStrategy:
     """Which rates to try and when to give up on one.
@@ -82,6 +98,10 @@ class LatticeStrategy:
             (int(lo), int(hi)) for lo, hi in self.exponent_bounds))
         if any(p <= 1 for p in self.primes):
             raise ValueError("primes must be integers > 1")
+        for p in self.primes:
+            if not _is_prime(p):
+                # a composite repeats rates: 3^-3 9^-1 is 3^-5
+                raise ValueError(f"primes must be prime; {p} is not")
         if len(set(self.primes)) != len(self.primes):
             raise ValueError("primes must be distinct")
         if len(self.exponent_bounds) != len(self.primes):

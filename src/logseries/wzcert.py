@@ -30,8 +30,7 @@ certificate is its cleared coefficients; each step ratio is a Gaussian
 integer over an int constant denominator times a ratio of int linear
 factors. The derivation, the grid check and the sum multiply through by
 those denominators, so no Q(i) value (`QuadraticRational` at d = -1) is
-built per grid point: only the closed forms and the values handed to
-readers (`ratio`, `n_ratio`, `k_ratio`, the sum) are.
+built per grid point: only the closed forms, `ratio` and the sum are.
 """
 
 import dataclasses
@@ -124,18 +123,6 @@ class WZContext:
         na = (prod(range(n_first, n_first + 2 * self.s, 2))
               * prod(range(k_first, k_first + 2 * self.t, 2)))
         return na, prod(range(base, base + 2 * (self.s + self.t), 2)), k_first, base
-
-    def n_ratio(self, n, k):
-        """Exact A = F_st(n+1, k) / F_st(n, k): s n-steps, then t k-steps."""
-        re, im, den = self.n_constant
-        na, da, _, _ = self.steps(n, k)
-        return _gaussian(re * na, im * na, den * da)
-
-    def k_ratio(self, n, k):
-        """Exact B = F_st(n, k+1) / F_st(n, k): one k-step."""
-        re, im, den = self.k_constant
-        _, _, nb, db = self.steps(n, k)
-        return _gaussian(re * nb, im * nb, den * db)
 
 
 def _monomials(n, k):
@@ -273,21 +260,10 @@ def certificate_telescoping_check(cert, n_max=20, k_max=20):
 
 @dataclasses.dataclass(frozen=True)
 class CertificateSum:
-    """Partial sum of G(n, 0), accumulated exactly and rounded once."""
+    """Partial sum of G(n, 0) as a log p approximation, rounded once."""
 
-    real: FixedReal
-    imag: FixedReal
+    log_value: FixedReal
     terms: int
-    conjugate_pair: bool
-
-    @property
-    def log_value(self):
-        """The log p approximation: the real part, doubled when the
-        parameter is one of a conjugate pair (the two logs add up to the
-        log of the common norm)."""
-        if self.conjugate_pair:
-            return FixedReal(self.real.mantissa * 2, self.real.bit_precision)
-        return self.real
 
 
 def exact_series_sum(cert, n_terms):
@@ -328,18 +304,15 @@ def exact_series_sum(cert, n_terms):
 def gst_series_sum(cert, n_terms, bits):
     """Sum G(n, 0) for n = 0..n_terms; the limit is log p.
 
-    The accumulation is exact (`exact_series_sum`); the result is
-    rounded to `bits` fractional bits only at the end. Terms whose
-    magnitude fails to decrease abort the sum (the certificate's series
-    would be divergent, so its value would be meaningless).
+    The sum is exact (`exact_series_sum`, which refuses a series whose
+    terms do not decrease). Its real part, doubled for a conjugate pair
+    (their two logs add up to the log of the common norm), is rounded
+    once to `bits` fractional bits.
     """
-    total = exact_series_sum(cert, n_terms)
-    return CertificateSum(
-        real=FixedReal.from_rational(total.a, bits),
-        imag=FixedReal.from_rational(total.b, bits),
-        terms=n_terms + 1,
-        conjugate_pair=not cert.context.p.is_rational(),
-    )
+    real = exact_series_sum(cert, n_terms).a
+    if not cert.context.p.is_rational():
+        real *= 2
+    return CertificateSum(FixedReal.from_rational(real, bits), n_terms + 1)
 
 
 # ----------------------------------------------------------------------

@@ -269,6 +269,14 @@ def test_search_for_log1_is_an_error(capsys):
                    "trivial relation (1, 0, ..., 0)\n")
 
 
+def test_search_refuses_a_composite_in_the_prime_list(capsys):
+    # 9 would repeat rates: 3^-5, 3^-3 9^-1 and 3^-1 9^-2 are all 1/243
+    code, out, err = invoke(capsys, ["search", "--p", "3", "--primes", "3,9",
+                                     "--exponents=-5:-1,-2:0", "--digits", "200"])
+    assert (code, out) == (1, "")
+    assert err == "error: primes must be prime; 9 is not\n"
+
+
 def test_search_reports_the_digits_it_ran_at(capsys, caplog):
     # 50 digits sit below the 20*(h+2) = 60 digit floor of a d = 2 motive
     code, out, _ = invoke(capsys, ["search", "--p", "3", "--primes", "3",
@@ -376,6 +384,21 @@ def test_prove_closed_form_perturbed_row_fails_by_name(capsys, monkeypatch, p):
             assert err.startswith(f"error: p={p}: "), (name, step, err)
 
 
+def test_prove_closed_form_past_the_int_string_limit(capsys):
+    # the series checks read about 4,330 digits of binsplit text; under
+    # the interpreter's default limit that text must still parse
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = invoke(capsys, ["prove", "--p", "3", "--method",
+                                         "closed", "--digits", "4300"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["# log(3) from closed forms, digits=4300",
+                                "combination = 1 * log(3), exactly", "PASS"]
+
+
 def test_prove_unsupported_target(capsys):
     code, _, err = invoke(capsys, ["prove", "--p", "6"])
     assert code == 1
@@ -416,6 +439,31 @@ def test_alternating_output_is_unchanged(capsys):
     assert invoke(capsys, ["alternating", "--p", "7"])[:2] == (
         0, "p=7: the solved rate is not rational; "
            "no alternating series of this shape exists\n")
+
+
+# Every subcommand with --out that replaces the file. search --out is
+# left out: it appends its report and prints it as well.
+OUT_RUNS = {
+    "compute": ["compute", "--p", "2", "--digits", "60"],
+    "catalog": ["catalog"],
+    "cost": ["cost", "--all"],
+    "family-summary": ["family", "--method", "level1", "--p", "5"],
+    "family-digits": ["family", "--method", "level1", "--p", "5",
+                      "--digits", "40"],
+    "alternating-scan": ["alternating", "--scan", "2", "30"],
+    "alternating-hit": ["alternating", "--p", "5"],
+    "alternating-miss": ["alternating", "--p", "7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_RUNS))
+def test_out_file_holds_exactly_the_stdout(capsys, tmp_path, name):
+    argv = OUT_RUNS[name]
+    path = tmp_path / "out.txt"
+    code, out, err = invoke(capsys, argv)
+    assert code == 0 and out
+    assert invoke(capsys, argv + ["--out", str(path)]) == (code, "", err)
+    assert path.read_text(encoding="utf-8") == out
 
 
 def test_alternating_scan_window(capsys):

@@ -584,6 +584,18 @@ def test_strategy_validation():
         rs.LatticeStrategy(primes=(2,), exponent_bounds=((0, -1),))
 
 
+def test_strategy_takes_primes_only():
+    # Carmichael numbers (5148001 passes each base if a 1 may follow a
+    # value other than -1 in the squaring chain), strong pseudoprimes to
+    # the bases 2..7 and 2..31, and a product of two Mersenne primes
+    for n in (4, 9, 561, 5148001, 3215031751, 3825123056546413051,
+              (2 ** 61 - 1) * (2 ** 31 - 1)):
+        with pytest.raises(ValueError, match=f"prime; {n} is not"):
+            rs.LatticeStrategy(primes=(2, n), exponent_bounds=((-1, 0),) * 2)
+    for p in (2, 3, 37, 41, 7919, 2 ** 61 - 1, 2 ** 127 - 1):
+        assert rs.LatticeStrategy(primes=(p,), exponent_bounds=((-1, 0),)).primes == (p,)
+
+
 def test_candidate_validation(log3_search):
     good = log3_search[0]
     with pytest.raises(ValueError, match="beta"):

@@ -15,7 +15,7 @@ from math import ceil, isqrt, log
 import pytest
 
 from logseries import cli, machin, seriesdef, wzcert
-from logseries.exactnum import QuadraticRational
+from logseries.exactnum import FixedReal, QuadraticRational
 from logseries.wzcert import (
     Certificate,
     WZContext,
@@ -136,9 +136,6 @@ def test_step_ratios_match_closed_form():
         for n in range(6):
             for k in range(6):
                 here = f_st(ctx, n, k)
-                assert ctx.n_ratio(n, k) * here == f_st(ctx, n + 1, k), (ctx, n, k)
-                assert ctx.k_ratio(n, k) * here == f_st(ctx, n, k + 1), (ctx, n, k)
-                # the int factors on their own, without n_ratio / k_ratio
                 na, da, nb, db = ctx.steps(n, k)
                 assert min(na, da, nb, db) > 0
                 a = QuadraticRational(Fraction(a_re * na, a_den * da),
@@ -370,11 +367,17 @@ def test_gst_series_sum_hits_oracle():
 
 
 def test_gst_conjugate_sums_are_conjugate():
-    plus = gst_series_sum(certificate_get("log5-s2t1+i"), 30, 192)
-    minus = gst_series_sum(certificate_get("log5-s2t1-i"), 30, 192)
-    assert plus.real == minus.real
-    assert plus.imag.to_fraction() == -minus.imag.to_fraction()
-    assert plus.conjugate_pair and minus.conjugate_pair
+    for stem in ("log5-s2t1", "log5-s1t2"):
+        plus = exact_series_sum(certificate_get(stem + "+i"), 30)
+        minus = exact_series_sum(certificate_get(stem + "-i"), 30)
+        assert plus == minus.conjugate() and plus.b != 0, stem
+        # a conjugate pair's log value is twice the real part, rounded once
+        want = FixedReal.from_rational(2 * plus.a, 192)
+        for label in (stem + "+i", stem + "-i"):
+            value = gst_series_sum(certificate_get(label), 30, 192)
+            assert value.log_value == want and value.terms == 31, label
+    assert [f.name for f in dataclasses.fields(wzcert.CertificateSum)] \
+        == ["log_value", "terms"]
 
 
 def _g(cert, n):
