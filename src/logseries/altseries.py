@@ -5,12 +5,14 @@ w = 1 + r e^(i phi) of norm p at which q = (w-1)^3 / (w (w+1)) is purely
 imaginary. With u = Re w and v^2 = p - u^2 that reads 2u^2 + (p+1)u = 4p,
 whose one root on the circle |w|^2 = p is u = (sqrt(D) - p - 1)/4,
 D = p^2 + 34p + 1. (The other factor of "the rate is real" makes q real
-and the rate positive.) Everything is decided exactly in Q(sqrt(D)), with
-u and the rate as exactnum.QuadraticRational: the rate is rational
-precisely when D is a square, for integer p >= 2 only at 5, 10, 21 and
-56. There w = u + sqrt(u^2 - p) with u rational, a QuadraticRational
-over d = u^2 - p, gives the integer series parameters and the quadratic
-field exactly; (r, phi) are only rendered for output and checks.
+and the rate positive.) With s = p + 1 the rate is
+(27s^4 + 36s^2 D + D^2 - 64s(p^2+7p+1) sqrt(D)) / (13824 p^2); u and the
+rate are exactnum.QuadraticRationals over Q(sqrt(D)). The sqrt(D)
+coefficient -(p+1)(p^2+7p+1)/(216p^2) is nonzero for p > 0, so the rate
+is rational precisely when D is a square: for integer p >= 2 only at 5,
+10, 21 and 56. There u is rational, and w = u + sqrt(u^2 - p), over
+d = u^2 - p, gives the integer series parameters and the quadratic field
+exactly; (r, phi) are only rendered for output and checks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import mpmath
 
@@ -63,11 +65,18 @@ def _norm_condition(p, r, phi):
 
 def _branch(p):
     """(u, rho) at the alternating branch point of norm p, exactly in
-    Q(sqrt(D)), D = p^2 + 34p + 1: u = Re w, and the rate is
-    -|w-1|^6 / (108 |w|^2 |w+1|^2) because q is purely imaginary there."""
-    u = (QuadraticRational.root(p * p + 34 * p + 1) - p - 1) / 4
-    near, far = -2 * u + (p + 1), 2 * u + (p + 1)
-    return u, near * near * near / (far * (-108 * p))
+    Q(sqrt(D)), by the closed forms above in ints over p = n/d, where
+    d sqrt(D) is the square root of n^2 + 34nd + d^2."""
+    p = Fraction(p)
+    n, d = p.numerator, p.denominator
+    s, disc, k = n + d, n * n + 34 * n * d + d * d, n * n + 7 * n * d + d * d
+    root = isqrt(disc)  # d sqrt(D) = root + coeff sqrt(D), one of them 0
+    root, coeff = (root, 0) if root * root == disc else (0, d)
+    field, den = Fraction(disc, d * d), 13824 * n * n * d * d
+    rational = 27 * s ** 4 + 36 * s * s * disc + disc * disc
+    return (QuadraticRational(Fraction(root - s, 4 * d), Fraction(coeff, 4 * d), field),
+            QuadraticRational(Fraction(rational - 64 * s * k * root, den),
+                              Fraction(-64 * s * k * coeff, den), field))
 
 
 def _polar(p, bits):

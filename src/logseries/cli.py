@@ -137,20 +137,20 @@ def _cmd_search(args):
     target = FixedReal.from_rational(Fraction(Decimal(digits_text)), need + 32)
 
     candidates = relsearch.search(motive, target, 1, strategy)
-    if not candidates:
+    if candidates:
+        ranges = ",".join(f"{lo}:{hi}" for lo, hi in args.exponents)
+        args_text = (f"p={args.p} primes={','.join(map(str, args.primes))} "
+                     f"exponents={ranges} digits={working}")
+        text = relsearch.format_report(candidates, args_text,
+                                       f"log({args.p}) = {digits_text[:40]}...")
+    else:
         # lindep sees the target and its d sums
         bound = relsearch.norm_bound_text(motive.d + 1, relsearch.COEFF_BITS)
-        print(f"no integer relations found for log({args.p}) "
-              f"with coefficient norm <= {bound}")
-        return 0
-    ranges = ",".join(f"{lo}:{hi}" for lo, hi in args.exponents)
-    args_text = (f"p={args.p} primes={','.join(map(str, args.primes))} "
-                 f"exponents={ranges} digits={working}")
-    const_text = f"log({args.p}) = {digits_text[:40]}..."
+        text = (f"no integer relations found for log({args.p}) "
+                f"with coefficient norm <= {bound}\n")
     if args.out:
-        text = relsearch.write_report(candidates, args.out, args_text, const_text)
-    else:
-        text = relsearch.format_report(candidates, args_text, const_text)
+        with open(args.out, "a", encoding="utf-8") as fh:
+            fh.write(text)
     print(text.rstrip("\n"))
     return 0
 

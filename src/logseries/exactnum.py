@@ -243,12 +243,6 @@ class IntPoly:
             for i in range(n)
         ])
 
-    def __neg__(self):
-        return IntPoly([-c for c in self.coefficients])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return IntPoly([c * other for c in self.coefficients])

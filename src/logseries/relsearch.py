@@ -508,12 +508,3 @@ def format_report(candidates: Sequence[RelationCandidate],
             "*********************",
         ]))
     return "\n".join(blocks) + ("\n" if blocks else "")
-
-
-def write_report(candidates: Sequence[RelationCandidate], path,
-                 args_text: str = "", const_text: str = "") -> str:
-    """Append the formatted blocks to `path`; returns the text."""
-    text = format_report(candidates, args_text, const_text)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(text)
-    return text

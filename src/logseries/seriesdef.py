@@ -152,10 +152,14 @@ def denominator_basis(motive: Motive, start: int) -> IntPoly:
     factors w*n + u (start 0). Each is positive from n = start on."""
     coeffs = [1]
     for f in motive.num_params if start == 1 else motive.den_params:
-        b, shift = f.denominator, f.numerator - f.denominator * start
-        coeffs = [c * shift + lower * b
-                  for c, lower in zip(coeffs + [0], [0] + coeffs)]
+        coeffs = _times_linear(coeffs, f.denominator,
+                               f.numerator - f.denominator * start)
     return IntPoly(coeffs)
+
+
+def _times_linear(coeffs, a, c):
+    """The ascending int coefficients of coeffs(n) * (a n + c)."""
+    return [c * high + a * low for high, low in zip(coeffs + [0], [0] + coeffs)]
 
 
 # ----------------------------------------------------------------------
@@ -484,38 +488,57 @@ def beta_family(m, nu, x, name) -> SeriesSpec:
     X^(k-1) coefficient of u. G times the motive's denominator must be a
     polynomial, or ValueError. Written in b = 1/a, u has a factor b, so
     x = 1 gives the b -> 0 limit with normalizer 0.
+
+    In ints: x = r/s, B = r - s, C = r + s and E = 4rs give b = B/C and
+    lam rho = B^(2N) / (C^(2m) E^nu), N C^(2m-2) E^nu u/b has int
+    coefficients, and G, on the doubled factors 2(nu n+j) and 2N n+2j-1,
+    is pseudo-divided by the 2N n+2j-1 the motive's denominator lacks.
     """
     if m < 1 or m % 2 == 0 or nu < 2 or nu % 2:
         raise ValueError(f"beta_family needs odd m and even nu, got ({m}, {nu})")
-    x, lam, n_count = Fraction(x), gamma_quotient_lambda(m, nu), m + nu
-    # rho = 1 / (lam (1-a^2)^nu a^(2m)), kept finite at x = 1
-    rho = None if x <= 0 else ((x - 1) ** (2 * n_count)
-                               / (lam * (4 * x) ** nu * (x + 1) ** (2 * m)))
+    x, n_count = Fraction(x), m + nu
+    r, s = x.numerator, x.denominator
+    B, C, E = r - s, r + s, 4 * r * s
+    rho = None if x <= 0 else (Fraction(B ** (2 * n_count), C ** (2 * m) * E ** nu)
+                               / gamma_quotient_lambda(m, nu))
     if rho is None or abs(rho) >= 1:
         raise ValueError(f"p={x} outside the {name} convergence region")
-    b = (x - 1) / (x + 1)
-    # u/b is v / (1 - b^2 (1-X)) minus the Y term's share,
-    # b^(N-1) / (N (b^2-1)^(nu/2)) X^(nu/2-1) (1-X)^((m-1)/2) (N X - nu)
-    v = IntPoly([1]) - IntPoly([0] * nu + [
-        (-1) ** i * math.comb(m, i) for i in range(m + 1)]) * (lam * rho)
-    y_term = IntPoly.from_linear_factors(
-        [(1, 0)] * (nu // 2 - 1) + [(-1, 1)] * (m // 2) + [(n_count, -nu)])
-    u_over_b = (v.divmod(IntPoly([1 - b * b, b * b]))[0] - y_term
-                * (b ** (n_count - 1) / (n_count * (b * b - 1) ** (nu // 2))))
-    # G / b over its full denominator prod_{j<=N}(N n+j-1/2), nested in k
-    weights = u_over_b.coefficients + (0,) * n_count
-    top, full = IntPoly([]), IntPoly([1])
-    for k in range(n_count, 0, -1):
-        top = full * weights[k - 1] + IntPoly([k, nu]) * top
-        full = full * IntPoly([k - Fraction(1, 2), n_count])
     motive = Motive(*gamma_quotient_motive(m, nu), rho)
-    # full over the motive's denominator: the factors its tops cancel
-    numerator, rest = top.divmod(full.divmod(denominator_basis(motive, 0))[0])
-    if not rest.is_zero():
+    # -B^(2j) t_j is X^j of the quotient of -B^(2N) X^nu (1-X)^m by E + B^2 X
+    kernel = [0] * nu + [(-1) ** i * math.comb(m, i) for i in range(m + 1)]
+    t, weights = kernel[-1], [0] * n_count
+    for j in range(n_count - 1, -1, -1):
+        weights[j] = -n_count * B ** (2 * j) * t
+        t = B ** (2 * (n_count - j)) * kernel[j] - E * t
+    # minus X^(nu/2-1) (1-X)^((m-1)/2) (N X - nu) B^(N-1)/(N (-E)^(nu/2) C^(m-1))
+    y_term = [0] * (nu // 2 - 1) + [-nu, n_count]
+    for _ in range(m // 2):
+        y_term = _times_linear(y_term, -1, 1)
+    for j, y in enumerate(y_term):
+        weights[j] -= ((-1) ** (nu // 2) * B ** (n_count - 1) * C ** (m - 1)
+                       * E ** (nu // 2) * y)
+    # 2 G N C^(2m-2) E^nu / b over prod_{j<=N}(2N n+2j-1), nested in k
+    top, full, divisor = [], [1], [1]
+    for k in range(n_count, 0, -1):
+        top = [f * weights[k - 1] + g for f, g
+               in zip(full, _times_linear(top, 2 * nu, 2 * k))]
+        full = _times_linear(full, 2 * n_count, 2 * k - 1)
+        if Fraction(2 * k - 1, 2 * n_count) not in motive.den_params:
+            divisor = _times_linear(divisor, 2 * n_count, 2 * k - 1)
+    # the motive's denominator holds the other factors over their contents
+    content = math.prod(2 * n_count // f.denominator for f in motive.den_params)
+    # exact pseudo-division: lead^(shift+1) top = numerator divisor + rest
+    lead, shift = divisor[-1], len(top) - len(divisor)
+    rest, numerator = [c * lead ** (shift + 1) for c in top], [0] * (shift + 1)
+    for i in range(shift, -1, -1):
+        q = numerator[i] = rest[i + len(divisor) - 1] // lead
+        rest[i:i + len(divisor)] = [was - q * c for was, c in zip(rest[i:], divisor)]
+    if any(rest):
         raise ValueError(f"({m}, {nu}): the summand has no polynomial numerator")
-    numerator, scale = numerator.primitive()
-    return SeriesSpec(motive, numerator, Fraction(1), b * scale, 0,
-                      f"log({x})-{name}")
+    numerator, scale = IntPoly(numerator).primitive()
+    return SeriesSpec(motive, numerator, Fraction(1), scale * Fraction(
+        2 * B, n_count * C ** (2 * m - 1) * E ** nu * content * lead ** (shift + 1)),
+        0, f"log({x})-{name}")
 
 
 def level1_series(p) -> SeriesSpec:

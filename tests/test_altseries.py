@@ -105,6 +105,26 @@ def test_branch_matches_newton_references():
     assert (rho.a, 12 * rho.b) == (Fraction(62, 49), Fraction(-44, 49))
 
 
+def _branch_in_the_field(p):
+    """(u, rho) by arithmetic in Q(sqrt(D)): u = (sqrt(D) - p - 1)/4 and
+    rho = near^3 / (far (-108 p)), near, far = p + 1 -+ 2u, the
+    construction the closed form replaced."""
+    u = (QuadraticRational.root(p * p + 34 * p + 1) - p - 1) / 4
+    near, far = -2 * u + (p + 1), 2 * u + (p + 1)
+    return u, near * near * near / (far * (-108 * p))
+
+
+def test_branch_closed_form_matches_the_field_arithmetic():
+    points = list(range(2, 201)) + [Fraction(5, 2), Fraction(1, 3),
+                                    Fraction(267, 2)]
+    for p in points:
+        u, rho = alt._branch(p)
+        u_ref, rho_ref = _branch_in_the_field(Fraction(p))
+        assert (u, rho) == (u_ref, rho_ref), p
+        assert (u.d, rho.d) == (u_ref.d, rho_ref.d), p
+        assert rho.is_rational() == (p in TABLE), p
+
+
 def test_rational_rates_only_at_the_four_sporadic_targets():
     # (1) rho(u+) - rho(u-) = 2 beta sqrt(D) for the two roots of the
     # quadratic; 13824 p^2 beta is a polynomial in p of degree at most 3,

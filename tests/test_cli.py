@@ -249,6 +249,17 @@ def test_search_empty_box(capsys):
         "<= 2^64*sqrt(3)" in out
 
 
+def test_search_empty_box_is_recorded_in_the_report_file(capsys, tmp_path):
+    path = tmp_path / "results.txt"
+    line = ("no integer relations found for log(3) with coefficient norm "
+            "<= 2^64*sqrt(3)\n")
+    argv = ["search", "--p", "3", "--primes", "3", "--exponents=-2:0",
+            "--digits", "60", "--out", str(path)]
+    assert invoke(capsys, argv)[:2] == (0, line)
+    assert invoke(capsys, argv)[:2] == (0, line)
+    assert path.read_text(encoding="utf-8") == line + line
+
+
 def test_search_box_without_an_admissible_rate_is_an_error(capsys):
     # the only rate, 2^0 = 1, is at or above RHO_BOUND: nothing is searched,
     # so no absence of relations may be reported
@@ -531,10 +542,24 @@ def test_family_digits_match_oracle(capsys):
     assert digits_from_rows(out) == machin.log_decimal(7, 80)
 
 
+# Recorded from the construction in Fraction polynomial arithmetic that
+# the integer one replaced.
+FAMILY_D6_5_2 = (
+    "label:       log(5/2)-d6\n"
+    "rho:         129140163/968890104070000\n"
+    "cost:        1.5160\n"
+    "numerator:   ['55495791807255', '635495169041106', '2650583036834980', "
+    "'5098289313891160', '4593205042895360', '1569847047987584']\n"
+    "denominator: ['19305', '489804', '3985660', '14521248', '26084464', "
+    "'22588608', '7529536']\n"
+    "normalizer:  3/9411920000\n"
+    "start:       0\n"
+)
+
+
 def test_family_fractional_target(capsys):
-    code, out, _ = invoke(capsys, ["family", "--method", "d6", "--p", "5/2"])
-    assert code == 0
-    assert "log(5/2)-d6" in out
+    assert invoke(capsys, ["family", "--method", "d6", "--p", "5/2"]) \
+        == (0, FAMILY_D6_5_2, "")
 
 
 def test_family_domain_violation(capsys):

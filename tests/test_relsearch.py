@@ -612,7 +612,7 @@ def test_candidate_validation(log3_search):
                              series=good.series)
 
 
-def test_report_block_fields(log3_search, tmp_path):
+def test_report_block_fields(log3_search):
     text = rs.format_report(log3_search, args_text="primes {3}",
                             const_text="1.0986")
     assert " args  = primes {3}" in text
@@ -622,12 +622,6 @@ def test_report_block_fields(log3_search, tmp_path):
     assert " [-1, 88, -14]" in text
     assert " rho_1 = 1/243" in text
     assert " BSC   = 1.4563" in text
-
-    out = tmp_path / "results.txt"
-    rs.write_report(log3_search, out, args_text="a")
-    rs.write_report(log3_search, out, args_text="b")
-    body = out.read_text()
-    assert body.count("LINEAR DEPENDENCE FOUND") == 2  # appends, not rewrites
 
 
 def test_empty_report_is_empty():

@@ -389,12 +389,77 @@ def test_catalog_rows_are_family_members():
 
 
 def test_beta_family_sums_to_log_x_on_other_motives():
-    for m, nu, x in [(1, 4, 2), (5, 2, Fraction(8, 7)), (1, 6, 3)]:
+    # one interior point of each motive in the region list
+    for m, nu, x in [(1, 2, 5), (3, 2, 7), (3, 4, Fraction(5, 2)),
+                     (5, 2, Fraction(8, 7)), (7, 2, 20), (9, 2, 30),
+                     (1, 4, 2), (1, 6, 3), (5, 4, 10)]:
         spec = sd.beta_family(m, nu, x, "derived")
         total = _naive_sum(spec, sd.estimate_terms(spec, 50))
         lo, hi = machin.log_interval(x, 55)
         scaled = total.numerator * 10 ** 55 // total.denominator
         assert abs(scaled - lo) < 10 ** 6, (m, nu, x)
+
+
+# (rho, numerator coefficients, normalizer), recorded from the
+# construction in Fraction polynomial arithmetic that the integer one
+# replaced
+BETA_FAMILY_REFERENCE = {
+    (1, 2, 2): ("1/3888", [499, 598], "1/144"),
+    (3, 2, Fraction(5, 2)): (
+        "1594323/147061250000",
+        [1940405085, 11729512542, 20351296396, 10793369224], "3/33614000"),
+    (3, 4, 17): (
+        "1125899906842624/1353858444295749",
+        [28620307861269, 293902058208182, 1008997261602776,
+         1506291813302608, 949530190826320, 175072156764000], "16/11507606901"),
+    (3, 4, 1): (
+        "0", [19305, 219534, 912184, 1750672, 1575056, 537824], "0"),
+    (5, 2, 34): (
+        "1816331681783800622529/3361510927115141150000",
+        [854801580536199756999, 11065728162097906779462,
+         47332801993026229792168, 86121843241628062836880,
+         68924453069398070850800, 19746699620847802268000],
+        "33/510220918506250000"),
+    (1, 6, 3): (
+        "16/823543",
+        [9018937, 100092254, 409909560, 779682960, 697377168, 237175776],
+        "4/1701"),
+    (5, 4, Fraction(8, 7)): (
+        "1/703067887159825420800000",
+        [2783458989548720018561529, 48591297353871905599790490,
+         336733281440638571696437160, 1211601859807113974821193040,
+         2464462931492493649884255376, 2855651795951178487340473760,
+         1757209718285145592281273600, 445508364140879474566336000],
+        "1/48998009894400000000"),
+    (9, 2, Fraction(2, 3)): (
+        "43046721/17414042395690917968750000",
+        [68052559798646274154275, 1641668436913039796194470,
+         16390579201151952438073488, 89683730555767965550731040,
+         298492982217345432866033696, 630491480670605229114004544,
+         849669086930479024470409472, 707728305839230642545943040,
+         331958685666197693062886144, 67037516590930450962105856],
+        "-1/134277343750000"),
+}
+
+
+def test_beta_family_reference_points():
+    for (m, nu, x), (rho, numerator, normalizer) in BETA_FAMILY_REFERENCE.items():
+        spec = sd.beta_family(m, nu, x, "ref")
+        assert spec.motive.rho == Fraction(rho), (m, nu, x)
+        assert spec.numerator_poly.coefficients == tuple(numerator), (m, nu, x)
+        assert spec.normalizer == Fraction(normalizer), (m, nu, x)
+        assert (spec.denominator_scale, spec.start_index) == (1, 0)
+        assert spec.denominator_poly == sd.denominator_basis(spec.motive, 0)
+
+
+def test_beta_family_refuses_a_summand_without_polynomial_numerator(monkeypatch):
+    # a motive whose denominator keeps 1/2 and drops 5/6 leaves the
+    # factor 6n + 5 to divide out, and the (1, 2) sum has no such factor
+    monkeypatch.setattr(sd, "gamma_quotient_motive", lambda m, nu: (
+        (Fraction(1, 3), Fraction(1)), (Fraction(1, 6), Fraction(1, 2))))
+    with pytest.raises(ValueError,
+                       match=r"^\(1, 2\): the summand has no polynomial numerator$"):
+        sd.beta_family(1, 2, 2, "bad")
 
 
 def test_beta_family_needs_odd_m_and_even_nu():
