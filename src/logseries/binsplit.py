@@ -348,6 +348,42 @@ def split_range(spec: SeriesSpec, lo: int, hi: int) -> SplitNode:
     return _range_node(_compiled(spec), lo, hi)
 
 
+def certified_range(spec: SeriesSpec, bits: int) -> tuple[int, SplitNode]:
+    """(hi, split_range(spec, start, hi)) with sum_{m>=hi} |term m| < 2^-bits.
+
+    Term m is scale*a(m)*P_m/Q_m, P_m the product of x(j) for start <= j < m
+    and Q_m of y(j) for start <= j <= m (_leaf). So with s = 1 - start,
+    term(m+1)/term(m) = a(m+1)/a(m) * rho * prod (m+s-1+u)/(m+s+v) over the
+    parameters u on top and v below, each factor < 1 as u <= 1 < 1 + v.
+    A(m) = sum |c_j| m^j over a's coefficients has A(m+1)/A(m) <=
+    ((m+1)/m)^deg, so b_m = |scale| A(m) |P_m|/Q_m >= |term m| has
+    b_{m+1}/b_m <= q = |rho| ((hi+1)/hi)^deg for m >= hi, and the tail is
+    at most b_hi/(1 - q) when q < 1. P/Q survives common-factor removal,
+    so b_hi = |scale| A(hi) |P|/(Q y(hi)) and b_hi/(1 - q) < 2^-bits are
+    exact integer work. hi starts where |rho|^(hi - start) reaches 2^-bits
+    (one term at rho = 0, where P = 0), and grows by the shortfall."""
+    rho, comp, lo = spec.motive.rho, _compiled(spec), spec.start_index
+    if abs(rho) >= 1:
+        raise ValueError(f"{spec.label}: series diverges")
+    deg = len(comp.num_coeffs) - 1
+    rate = math.log2(rho.denominator) - math.log2(abs(rho.numerator or 1))
+    hi = lo + max(1, math.ceil(bits / rate) if rho else 1)
+    node = split_range(spec, lo, hi)
+    while True:
+        qn, qd = abs(rho.numerator) * (hi + 1) ** deg, rho.denominator * hi ** deg
+        poly = sum(abs(c) * hi ** j for j, c in enumerate(comp.num_coeffs))
+        y = math.prod((b * (hi + comp.shift) + shift for b, shift in comp.bot),
+                      start=comp.y_const)
+        high = abs(comp.scale.numerator * node.P) * poly * qd << bits
+        low = comp.scale.denominator * node.Q * y * (qd - qn)
+        if high < low:  # so low > 0 and q < 1
+            return hi, node
+        grow = hi - lo if qn >= qd else math.ceil(
+            (high.bit_length() - low.bit_length() + 1) / rate)
+        node = node.merge(split_range(spec, hi, hi + grow))
+        hi += grow
+
+
 def node_sum(spec: SeriesSpec, node: SplitNode) -> Fraction:
     """Exact sum of the terms a split_range node of `spec` covers, as a
     reduced Fraction (the relation search needs it exact).

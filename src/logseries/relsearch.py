@@ -1,14 +1,14 @@
 """Integer-relation discovery over a lattice of prime-power rates.
 
 Fixing the motive parameter lists and walking the rate over products of
-small prime powers, each candidate rate yields weighted partial sums
-s_0..s_h of the term recurrence. An exact integer LLL reduction then
-asks whether an integer combination of those sums, with coefficient
-norm under a stated bound, reproduces the target constant; when none
-does, the reduced basis either proves that no such combination exists
-or a warning says it could not decide. Detection alone is not trusted:
-every hit is checked in exact rationals, re-tested against a finer
-slice of the target, rebuilt as a series, and must reproduce the
+small prime powers, each candidate rate yields weighted sums s_0..s_h,
+summed only as far as a proven tail bound needs (_tail_bits). An exact
+integer LLL reduction then asks whether an integer combination of those
+series, with coefficient norm under a stated bound, reproduces the target
+constant; when none does, the reduced basis either proves that no such
+combination exists or a warning says it could not decide. Detection alone
+is not trusted: every hit is checked in exact rationals, re-tested against
+a finer slice of the target, rebuilt as a series, and must reproduce the
 target to 50 digits through binary splitting before it is reported.
 
 Detection at one point (its sums and one LLL) depends on no other
@@ -43,12 +43,11 @@ COEFF_BITS = 64
 RHO_BOUND = Fraction(3, 5)
 
 # search splits its points with a forked child from this many points on.
-# `search --digits 200`, one process against two, medians of 20
-# alternating pairs (2 vCPUs, CPython 3.11): --p 3 --primes 3 at
-# --exponents=-5:-5 (2 points) 4.0/7.1 ms, -2:0 (4) 17.7/21.3 ms, -4:0
-# (8) 35.0/22.0 ms, -8:0 (16) 50.9/31.5 ms; --p 2 --primes 2,3 at
-# -8:-7,-8:-7 (8 points of few terms) 15.4/12.4 ms. The fork and the
-# copies-on-write it sets off cost 3 to 5 ms.
+# `search --digits 200`, one process against two, medians of 20 alternating
+# pairs (2 vCPUs, CPython 3.11): --p 3 --primes 3 at --exponents=-5:-5 (2
+# points) 3.9/6.1 ms, -2:0 (4) 6.9/8.2, -4:0 (8) 12.3/10.3, -8:0 (16)
+# 24.9/22.5; --p 2 --primes 2,3 at -8:-7,-8:-7 (8 points of few terms)
+# 9.3/9.1 ms; two processes won 0, 11, 16, 15 and 15 pairs.
 FORK_POINTS = 8
 
 UNDECIDED = ("undecided: no relation accepted, but one with coefficient "
@@ -144,14 +143,13 @@ class RelationCandidate:
 #  Partial sums
 # ----------------------------------------------------------------------
 
-def _exact_si(motive: Motive, i: int, N: int) -> Fraction:
-    """s_i truncated at N, exactly: the sum over n=1..N of
-    n^i/r(n) * prod_{k<=n} rho*num(k)/den(k), with r(n) = prod (v*n - v + u)
-    over the numerator parameters u/v, by binary splitting of the
-    start-1 series with numerator n^i and lambda = 1."""
+def _sum_si(motive: Motive, i: int, bits: int) -> Fraction:
+    """s_i within 2^-bits: the exact sum over n = 1..N (certified_range) of
+    n^i/r(n) * prod_{k<=n} rho*num(k)/den(k), r(n) = prod (v*n - v + u) over
+    the numerator parameters u/v, the start-1 series with numerator n^i."""
     spec = SeriesSpec(motive, IntPoly([0] * i + [1]), Fraction(1),
                       Fraction(1), 1, f"s_{i}")
-    return binsplit.node_sum(spec, binsplit.split_range(spec, 1, N + 1))
+    return binsplit.node_sum(spec, binsplit.certified_range(spec, bits)[1])
 
 
 # ----------------------------------------------------------------------
@@ -231,14 +229,14 @@ def lindep(values: Sequence[FixedReal], max_coeff_bits: int) -> Optional[List[in
 
     prec is the shared (minimum) precision of the n inputs and must
     cover k = n*max_coeff_bits + 64 bits, otherwise the call refuses
-    rather than guess. The rows (e_j | x_j), with x_j the j-th mantissa
-    cut to k fractional bits, are LLL-reduced, and the answer is the
-    first reduced row whose leading n entries pass all three tests,
-    each checked exactly (the residual on the inputs as rationals).
+    rather than guess. The rows (e_j | x_j), x_j = floor(2^k * input j),
+    are LLL-reduced, and the answer is the first reduced row whose
+    leading n entries pass all three tests, each checked exactly (the
+    residual on the inputs as rationals).
 
     None is a proof when it can be. Take an integer u with |u| <= B and
-    sum(u_j * y_j) = 0 for reals y_j within 2^-prec of the inputs. Each
-    x_j lies within 2 of 2^k * y_j, so |sum(u_j * x_j)| < 2*sum(|u_j|)
+    sum(u_j * y_j) = 0 for reals y_j with |x_j - 2^k * y_j| < 2, as for
+    y_j within 2^-k of the inputs. Then |sum(u_j * x_j)| < 2*sum(|u_j|)
     and (u | sum(u_j * x_j)) is a lattice vector of squared norm below
     R^2 = B^2*(1 + 4n). Every lattice vector that short lies in the span
     of the reduced rows up to the last one with |b*|^2 <= R^2. When all
@@ -302,47 +300,57 @@ def _require_complete(motive: Motive) -> None:
                     f"denominator {q}")
 
 
-def _admissible_points(strategy: LatticeStrategy, d: int, wd: int):
-    """(rho, cost, n_terms) for each lattice point passing the filters."""
+def _admissible_points(strategy: LatticeStrategy, d: int):
+    """(rho, cost) for each lattice point passing the filters."""
     spans = [range(lo, hi + 1) for lo, hi in strategy.exponent_bounds]
     for exps in itertools.product(*spans):
-        rho = Fraction(1)
-        for p, e in zip(strategy.primes, exps):
-            rho *= Fraction(p) ** e
+        rho = math.prod((Fraction(p) ** e for p, e in zip(strategy.primes, exps)),
+                        start=Fraction(1))
         if rho >= RHO_BOUND:
             continue
-        lr = math.log(rho.denominator) - math.log(rho.numerator)
-        cost = 4 * d / lr
+        cost = 4 * d / (math.log(rho.denominator) - math.log(rho.numerator))
         if strategy.cost_bound > 0 and cost > strategy.cost_bound:
             continue
-        yield rho, cost, math.ceil(2.5 * wd * math.log(10) / lr)
+        yield rho, cost
 
 
 def _detection_values(target: FixedReal, exact, bits: int):
-    """lindep's input: the target, then the exact sums s_h..s_0, each
-    cut to `bits`."""
+    """lindep's input: the target, then the sums s_h..s_0, each cut to `bits`."""
     return [FixedReal.from_rational(x, bits)
             for x in [target.to_fraction()] + exact[::-1]]
 
 
+def _tail_bits(h: int, bits: int) -> Tuple[int, int]:
+    """(detect, confirm): s_0..s_h enter lindep within 2^-detect of the
+    series, _confirm within 2^-confirm. For n = h + 2 values, C = COEFF_BITS
+    and lindep's k = n*C + 64: within 2^-(k+32), cut to bits >= k, x_j is
+    within 1.5 + 2^-32 of 2^k times the series, so lindep's None covers
+    the series. A u it accepts has sum |u_j| < n*2^C, so on a relation
+    among the series the inputs' errors add under n*2^-7 times each test's
+    bound: 2^-(bits//2) in lindep, 2^-(bits+32) in _confirm (n < 128)."""
+    return (max((h + 2) * COEFF_BITS + 96, bits // 2 + COEFF_BITS + 8),
+            bits + 32 + COEFF_BITS + 8)
+
+
 def _detect(motive, target, h, bits, points):
-    """(u, undecided, sums) for each (rho, cost, n_terms) of `points`:
-    lindep's vector or None, whether its "undecided" warning is due, and
-    with a vector the exact sums s_0..s_h as (numerator, denominator)
-    pairs. It logs nothing and returns only ints, so a forked child may
-    run it."""
+    """(u, undecided, sums) for each (rho, cost) of `points`: lindep's
+    vector or None, whether its "undecided" warning is due, and with a
+    vector s_0..s_h summed again to the confirmation grade (_tail_bits), as
+    (numerator, denominator) pairs. It logs nothing and returns only ints,
+    so a forked child may run it."""
+    detect, confirm = _tail_bits(h, bits)
     verdicts = []
-    for rho, _, n_terms in points:
+    for rho, _ in points:
         point = Motive(motive.num_params, motive.den_params, rho)
-        exact = [_exact_si(point, i, n_terms) for i in range(h + 1)]
+        sums = [_sum_si(point, i, detect) for i in range(h + 1)]
         held = []
         token = _held_undecided.set(held)
         try:
-            u = lindep(_detection_values(target, exact, bits), COEFF_BITS)
+            u = lindep(_detection_values(target, sums, bits), COEFF_BITS)
         finally:
             _held_undecided.reset(token)
-        sums = None if u is None else [(x.numerator, x.denominator)
-                                       for x in exact]
+        sums = None if u is None else [
+            _sum_si(point, i, confirm).as_integer_ratio() for i in range(h + 1)]
         verdicts.append((u, bool(held), sums))
     return verdicts
 
@@ -366,19 +374,17 @@ def _verdicts(motive, target, h, bits, points):
 
 
 def _confirm(motive, target, h, rho, bits, cost, u, sums):
-    """The candidate for lindep's vector u at rho with the exact sums
-    _detect sent, or None if u leaves out the sums or fails a check."""
+    """The candidate for lindep's vector u at rho with the sums _detect
+    sent, or None if u leaves out the sums or fails a check."""
     if u[1] == 0:
         return None
     if u[1] < 0:
         u = [-x for x in u]
     exact = [Fraction(n, d) for n, d in sums]
-    # The sums are exact; re-test against a finer slice of the target.
-    # Lattice noise that matched the detection precision dies here.
+    # Re-test the sums, within 2^-confirm of the series, against a finer
+    # slice of the target. Lattice noise that matched detection dies here.
     fine = FixedReal.from_rational(target.to_fraction(), 2 * bits)
-    resid = u[0] * fine.to_fraction()
-    for j in range(1, len(u)):
-        resid += u[j] * exact[h - (j - 1)]
+    resid = sum(c * x for c, x in zip(u, [fine.to_fraction()] + exact[::-1]))
     if abs(resid) >= Fraction(1, 1 << (bits + 32)):
         log.debug("rho=%s: rejected at the confirmation precision", rho)
         return None
@@ -396,9 +402,8 @@ def _confirm(motive, target, h, rho, bits, cost, u, sums):
     if abs(Fraction(digits) - target.to_fraction()) > Fraction(1, 10 ** 49):
         log.warning("rho=%s: relation failed the 50 digit verification", rho)
         return None
-    det_resid = Fraction(0)
-    for c, v in zip(u, _detection_values(target, exact, bits)):
-        det_resid += c * v.to_fraction()
+    det_resid = sum(c * v.to_fraction()
+                    for c, v in zip(u, _detection_values(target, exact, bits)))
     return RelationCandidate(
         coefficients=(beta,) + alphas,
         rho=rho,
@@ -413,8 +418,8 @@ def working_precision(h: int, working_digits: int) -> Tuple[int, int, int]:
 
     digits is working_digits raised to the 20*(h+2) floor (0 asks for
     the floor), with a warning when a requested value is raised; bits is
-    the detection precision, and the target must carry target_bits for
-    the confirmation against its finer slice.
+    the detection precision, at least the k bits lindep needs, and the
+    target must carry target_bits for the confirmation.
     """
     floor_digits = 20 * (h + 2)
     digits = working_digits or floor_digits
@@ -422,7 +427,7 @@ def working_precision(h: int, working_digits: int) -> Tuple[int, int, int]:
         log.warning("working digits %d below the 20*(h+2) floor; using %d",
                     digits, floor_digits)
         digits = floor_digits
-    bits = max(int(digits * LOG2_10) + 32, (h + 2) * 64 + 64)
+    bits = max(int(digits * LOG2_10) + 32, (h + 2) * COEFF_BITS + 64)
     return digits, bits, 2 * bits + 16
 
 
@@ -450,15 +455,14 @@ def search(motive: Motive, target: FixedReal, target_weight: int,
     h = d - int(target_weight)
     if h < 0:
         raise ValueError("target weight exceeds the motive depth")
-    wd, bits, target_bits = working_precision(h, strategy.working_digits)
+    _, bits, target_bits = working_precision(h, strategy.working_digits)
     if target.bit_precision < target_bits:
         raise ValueError(f"target carries {target.bit_precision} bits but "
                          f"confirmation needs {target_bits}")
     if target.mantissa == 0:
         raise ValueError("the target is 0, so every lattice point has "
                          "the trivial relation (1, 0, ..., 0)")
-    points = [(sign * rho, cost, n_terms)
-              for rho, cost, n_terms in _admissible_points(strategy, d, wd)
+    points = [(sign * rho, cost) for rho, cost in _admissible_points(strategy, d)
               for sign in (1, -1)]
     if not points:
         cost_text = (f" and cost at most {strategy.cost_bound}"
@@ -466,7 +470,7 @@ def search(motive: Motive, target: FixedReal, target_weight: int,
         raise ValueError(f"no lattice rate passed the filters "
                          f"(rate below {RHO_BOUND}{cost_text})")
     found = []
-    for (rho, cost, _), (u, undecided, sums) in zip(
+    for (rho, cost), (u, undecided, sums) in zip(
             points, _verdicts(motive, target, h, bits, points)):
         if undecided:
             log.warning(UNDECIDED, norm_bound_text(h + 2, COEFF_BITS))

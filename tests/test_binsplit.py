@@ -11,6 +11,7 @@ import pytest
 from logseries import binsplit as bs
 from logseries import machin
 from logseries import seriesdef as sd
+from logseries.exactnum import IntPoly
 
 LOG2_50 = "0.69314718055994530941723212145817656807550013436025"
 LOG3_50 = "1.09861228866810969139524523692252570464749055782274"
@@ -159,6 +160,72 @@ def test_doubling_digits_roughly_doubles_terms():
         n1 = sd.estimate_terms(spec, 1000)
         n2 = sd.estimate_terms(spec, 2000)
         assert n2 < 2.2 * n1
+
+
+def _assert_tail_below(spec, bits):
+    """certified_range's sum is within 2^-bits of one over 3x the terms."""
+    hi, node = bs.certified_range(spec, bits)
+    lo = spec.start_index
+    assert meaning(node) == meaning(bs.split_range(spec, lo, hi))
+    far = bs.node_sum(spec, bs.split_range(spec, lo, lo + 3 * (hi - lo)))
+    assert abs(far - bs.node_sum(spec, node)) < Fraction(1, 2 ** bits), \
+        (spec.label, spec.motive.rho, bits, hi)
+
+
+@pytest.mark.parametrize("name", ["1,2", "3,2", "M4C", "3,4"])
+def test_certified_range_bounds_the_tail_of_every_weighted_sum(name):
+    # the sums s_0..s_h the relation search detects with, at rates near
+    # RHO_BOUND, where 1/(1 - q) matters, and far below it
+    if name == "M4C":
+        motive = sd.catalog_get("log2-eq13").motive
+        top, bot = motive.num_params, motive.den_params
+    else:
+        top, bot = sd.gamma_quotient_motive(*map(int, name.split(",")))
+    for rho in (Fraction(1, 2), Fraction(5, 9), Fraction(1, 3888),
+                Fraction(1, 2 ** 40)):
+        for sign in (1, -1):
+            motive = sd.Motive(top, bot, sign * rho)
+            for i in range(len(top)):
+                spec = sd.SeriesSpec(motive, IntPoly([0] * i + [1]), 1, 1, 1,
+                                     f"s_{i}")
+                for bits in (8, 24, 53, 100, 333):
+                    _assert_tail_below(spec, bits)
+
+
+def test_certified_range_bounds_tails_that_shrink_slower_than_rho(
+        monkeypatch):
+    # the motive's factors make every s_i above shrink faster than rho;
+    # n^8 and n^12 outgrow them, and only ((hi+1)/hi)^deg in q covers it.
+    # The first hi, where |rho|^hi reaches 2^-bits, then falls short.
+    grown, split = [], bs.split_range
+    monkeypatch.setattr(bs, "split_range", lambda spec, lo, hi: (
+        grown.append(lo > spec.start_index) or split(spec, lo, hi)))
+    for rho in (Fraction(1, 2), Fraction(5, 9)):
+        motive = sd.Motive(*sd.gamma_quotient_motive(1, 2), rho)
+        for i in (4, 8, 12):
+            spec = sd.SeriesSpec(motive, IntPoly([0] * i + [1]), 1, 1, 1,
+                                 f"n^{i}")
+            for bits in (8, 24, 53, 100, 333):
+                _assert_tail_below(spec, bits)
+    assert any(grown)
+
+
+def test_certified_range_bounds_every_catalog_and_family_tail():
+    # start 0 and 1, numerators with several signed coefficients, scales
+    specs = [sd.catalog_get(label) for label in sd.catalog_labels()]
+    specs += [sd.level1_series(5), sd.level2_series(3), sd.d4_family(7),
+              sd.d6_family(Fraction(5, 2))]
+    for spec in specs:
+        for bits in (16, 200, 1000):
+            _assert_tail_below(spec, bits)
+    # rate 0: the first term is the whole sum
+    params = sd.gamma_quotient_motive(1, 2)
+    zero = sd.SeriesSpec(sd.Motive(*params, 0), IntPoly([1, 1]), 1, 1, 1,
+                         "rate 0")
+    assert bs.certified_range(zero, 100)[0] == 2
+    one = sd.SeriesSpec(sd.Motive(*params, 1), IntPoly([1]), 1, 1, 1, "rate 1")
+    with pytest.raises(ValueError, match="rate 1: series diverges"):
+        bs.certified_range(one, 10)
 
 
 def test_evaluate_matches_oracle_500_digits_all_catalog():

@@ -241,6 +241,41 @@ def test_search_rediscovers_log3_series(capsys):
     assert "rho_1 = 1/243" in out
 
 
+# Both searches of the benchmark's search-box workload, as printed
+# before their sums were sized by a tail bound.
+SEARCH_BOX_OUTPUT = {
+    "log2": (
+        "*********************\n"
+        " args  = p=2 primes=2,3 exponents=-8:0,-8:0 digits=200\n"
+        " const = log(2) = 0.69314718055994530941723212145817656807...\n"
+        " hgm_1 = [[1, 1/2], [1/6, 5/6]]\n"
+        " LINEAR DEPENDENCE FOUND\n"
+        " [-2, 1794, -297]\n"
+        " rho_1 = 1/3888\n"
+        " BSC   = 0.96786095\n"
+        "*********************\n"),
+    "log3": (
+        "*********************\n"
+        " args  = p=3 primes=3 exponents=-8:0 digits=200\n"
+        " const = log(3) = 1.09861228866810969139524523692252570464...\n"
+        " hgm_1 = [[1, 1/2], [1/6, 5/6]]\n"
+        " LINEAR DEPENDENCE FOUND\n"
+        " [-1, 88, -14]\n"
+        " rho_1 = 1/243\n"
+        " BSC   = 1.4563828\n"
+        "*********************\n"),
+}
+
+
+def test_search_box_output_is_unchanged(capsys):
+    assert invoke(capsys, ["search", "--p", "2", "--primes", "2,3",
+                           "--exponents=-8:0,-8:0", "--digits", "200"])[:2] \
+        == (0, SEARCH_BOX_OUTPUT["log2"])
+    assert invoke(capsys, ["search", "--p", "3", "--primes", "3",
+                           "--exponents=-8:0", "--digits", "200"])[:2] \
+        == (0, SEARCH_BOX_OUTPUT["log3"])
+
+
 def test_search_empty_box(capsys):
     code, out, _ = invoke(capsys, ["search", "--p", "3", "--primes", "3",
                                    "--exponents=-2:0", "--digits", "60"])

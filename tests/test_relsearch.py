@@ -24,27 +24,35 @@ def _log_fixed(p, digits, bits):
                                    bits)
 
 
+def _truncated_si(motive, i, n_terms):
+    """s_i cut after n_terms, exactly, from the series relsearch sums."""
+    spec = SeriesSpec(motive, IntPoly([0] * i + [1]), 1, 1, 1, f"s_{i}")
+    return binsplit.node_sum(spec, binsplit.split_range(spec, 1, n_terms + 1))
+
+
 # ----------------------------------------------------------------------
 #  Partial sums
 # ----------------------------------------------------------------------
 
 def test_single_term_sum_is_the_first_term():
     motive = _m2a(Fraction(1, 243))
-    got = FixedReal.from_rational(rs._exact_si(motive, 0, 1), 256)
+    got = FixedReal.from_rational(_truncated_si(motive, 0, 1), 256)
     assert abs(got.to_fraction() - Fraction(2, 135)) <= Fraction(1, 2 ** 255)
 
 
 def test_sums_stabilize_once_the_tail_is_spent():
-    motive = _m2a(Fraction(1, 3888))
-    a = FixedReal.from_rational(rs._exact_si(motive, 1, 60), 400)
-    b = FixedReal.from_rational(rs._exact_si(motive, 1, 70), 400)
-    assert abs(a.to_fraction() - b.to_fraction()) < Fraction(1, 10 ** 60)
+    # two grades of the same sum differ by less than the coarser one
+    for rho in (Fraction(1, 3888), Fraction(-1, 2)):
+        motive = _m2a(rho)
+        for i in range(2):
+            a, b = rs._sum_si(motive, i, 200), rs._sum_si(motive, i, 400)
+            assert abs(a - b) < Fraction(1, 2 ** 200), (rho, i)
 
 
 def test_weighted_sums_rebuild_log3():
     motive = _m2a(Fraction(1, 243))
-    s1 = FixedReal.from_rational(rs._exact_si(motive, 1, 250), 500)
-    s0 = FixedReal.from_rational(rs._exact_si(motive, 0, 250), 500)
+    s1 = FixedReal.from_rational(rs._sum_si(motive, 1, 500), 500)
+    s0 = FixedReal.from_rational(rs._sum_si(motive, 0, 500), 500)
     combo = 88 * s1.to_fraction() - 14 * s0.to_fraction()
     want = Fraction(machin.log_decimal(3, 130))
     assert abs(combo - want) < Fraction(1, 10 ** 100)
@@ -64,7 +72,7 @@ def test_kernel_sums_match_an_independent_fraction_sum():
     for motive in (sig6, alternating, d4):
         denom = denominator_basis(motive, 1)
         for i in range(4):
-            got = FixedReal.from_rational(rs._exact_si(motive, i, n_terms),
+            got = FixedReal.from_rational(_truncated_si(motive, i, n_terms),
                                           bits)
             assert got == FixedReal.from_rational(want(motive, i, denom),
                                                   bits), (motive, i)
@@ -104,8 +112,8 @@ def test_lindep_finds_the_log3_relation():
     motive = _m2a(Fraction(1, 243))
     bits = 333  # about 100 working digits
     values = [_log_fixed(3, 110, bits),
-              FixedReal.from_rational(rs._exact_si(motive, 1, 120), bits),
-              FixedReal.from_rational(rs._exact_si(motive, 0, 120), bits)]
+              FixedReal.from_rational(rs._sum_si(motive, 1, bits), bits),
+              FixedReal.from_rational(rs._sum_si(motive, 0, bits), bits)]
     got = rs.lindep(values, 64)
     assert got in ([-1, 88, -14], [1, -88, 14])
 
@@ -357,6 +365,17 @@ def test_search_rediscovers_a_degree6_series(monkeypatch):
     assert sum(r is not None for r in results) <= 1
 
 
+def test_the_precision_floor_follows_coeff_bits(monkeypatch):
+    # 3 values at 80 coefficient bits need 3*80 + 64 = 304 shared bits;
+    # a floor of 3*64 + 64 = 256 made lindep refuse
+    monkeypatch.setattr(rs, "COEFF_BITS", 80)
+    assert rs.working_precision(1, 0) == (60, 304, 624)
+    strategy = rs.LatticeStrategy(primes=(3,), exponent_bounds=((-5, -5),))
+    found = rs.search(_m2a(), _log_fixed(3, 200, 660), 1, strategy)
+    assert [(c.rho, c.coefficients) for c in found] == \
+        [(Fraction(1, 243), (1, -14, 88))]
+
+
 def test_search_with_unreachable_rho_bound_is_empty():
     # the only lattice rate is 2^0 = 1, at or above RHO_BOUND: an empty
     # result would claim an absence that no lattice point was tried for
@@ -487,6 +506,42 @@ def test_two_processes_give_the_serial_verdicts(name, forks, monkeypatch,
     warning = rs.UNDECIDED % rs.norm_bound_text(3, _box(name)[3])
     assert [m for level, m in serial[2] if level == "WARNING"] == \
         [warning] * len(undecided)
+
+
+@pytest.mark.parametrize("name", ["log3", "log3-undecided", "log2",
+                                  "log2-undecided", "log2-eq13"])
+def test_detection_grade_sums_give_the_confirmation_grade_verdicts(
+        name, monkeypatch, caplog):
+    # per point (u, undecided), the sums sent and every candidate and
+    # warning, with every sum at the confirmation grade instead
+    coarse = _run_search(monkeypatch, caplog, 1, name)
+    tail_bits = rs._tail_bits
+    monkeypatch.setattr(rs, "_tail_bits",
+                        lambda h, bits: (tail_bits(h, bits)[1],) * 2)
+    assert _run_search(monkeypatch, caplog, 1, name) == coarse
+
+
+@pytest.mark.parametrize("name", ["log3", "log2", "log2-eq13"])
+def test_confirmation_grade_sums_are_built_only_at_detections(name,
+                                                              monkeypatch):
+    results = _count_lindep(monkeypatch)
+    grades, certified = [], binsplit.certified_range
+
+    def recording(spec, bits):
+        grades.append(bits)
+        return certified(spec, bits)
+
+    monkeypatch.setattr(binsplit, "certified_range", recording)
+    motive, target, strategy, _ = _box(name)
+    h = motive.d - 1
+    rs.search(motive, target, 1, strategy)
+    detect, confirm = rs._tail_bits(
+        h, rs.working_precision(h, strategy.working_digits)[1])
+    hits = sum(r is not None for r in results)
+    assert hits >= 1
+    assert sorted(grades) == sorted([detect] * len(results) * (h + 1)
+                                    + [confirm] * hits * (h + 1))
+    assert detect < confirm
 
 
 def test_a_small_box_forks_nothing(forks, monkeypatch):
