@@ -19,18 +19,18 @@ form is linear in the coefficients of R's quadratic numerator, and six
 points fix them. `certificate_telescoping_check` then tests the form
 exactly at every point of a finite grid. That is an exact check on the
 grid, not a proof of the identity: no degree bound ties the grid to all
-(n, k) yet. The same ratios build the certificate sum along n, so the
-closed form `base_f` is evaluated only where that walk starts. No code
-checks the WZ limit conditions (the row sums over k must vanish as n
-grows), so a `wz-verify` line covers only the grid telescoping and the
-agreement of the certificate sum with log p.
+(n, k) yet. The sum along k = 0 is a catalog row that the registry
+names, proved equal term by term (`certificate_series`) and summed by
+binary splitting. No code checks the WZ limit conditions (the row sums
+over k must vanish as n grows), so a `wz-verify` line covers only the
+grid telescoping and the agreement of the certificate sum with log p.
 
 All arithmetic is exact and, past the two step constants, on ints. A
 certificate is its cleared coefficients; each step ratio is a Gaussian
 integer over an int constant denominator times a ratio of int linear
-factors. The derivation, the grid check and the sum multiply through by
-those denominators, so no Q(i) value (`QuadraticRational` at d = -1) is
-built per grid point: only the closed forms, `ratio` and the sum are.
+factors. The derivation, the grid check and the proof multiply through
+by those denominators, so no Q(i) value (`QuadraticRational` at d = -1)
+is built per grid point: only the closed forms and `ratio` are.
 """
 
 import dataclasses
@@ -39,12 +39,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from operator import mul
 
-from .exactnum import FixedReal, QuadraticRational
-
-
-def _gaussian(re, im, den):
-    """(re + i im) / den in Q(i)."""
-    return QuadraticRational(Fraction(re, den), Fraction(im, den), -1)
+from . import binsplit, seriesdef
+from .exactnum import FixedReal, IntPoly, QuadraticRational
 
 
 def _cleared(q):
@@ -157,8 +153,8 @@ class Certificate:
 
     def ratio(self, n, k):
         """Exact R(n, k) in Q(i)."""
-        return _gaussian(*self.numerator(n, k),
-                         self.scale * _grid_factor(self.context, n, k))
+        den = self.scale * _grid_factor(self.context, n, k)
+        return QuadraticRational(*(Fraction(x, den) for x in self.numerator(n, k)), -1)
 
 
 def _beta_row(k, n):
@@ -266,68 +262,71 @@ class CertificateSum:
     terms: int
 
 
-def exact_series_sum(cert, n_terms):
-    """Exact sum of G(n, 0) = R(n, 0) F_st(n, 0) for n = 0..n_terms.
-
-    Horner's rule on F_st(0, 0) (R(0, 0) + A(0) (R(1, 0) + A(1) (...)))
-    with A(n) = A(n, 0), innermost bracket first, on a Gaussian-integer
-    numerator over one int denominator, neither reduced; the one Q(i)
-    value is built at the end. First, a term whose magnitude fails to
-    decrease raises ValueError; that test divides both squared
-    magnitudes by |F_st(n-1, 0)|^2 and compares them cross-multiplied
-    (at p = 1, A = 0 and it never fires).
-    """
-    ctx = cert.context
+def certificate_series(cert):
+    """The catalog row whose term n + 1 equals X(n) = c Re G(n, 0) for all
+    n >= 0 (c = 2 for p = 2 +- i, else 1), proved in five steps; a failed
+    step raises a ValueError naming it and the label. 1: the label names
+    the row, with terms Y(n). 2: A(n, 0) is a nonzero rational, so X(n) is
+    prod_{j<n} A(j, 0) q(n) / g(n) up to a constant, q = c Re(F_st(0, 0)
+    r(n, 0)) for R's numerator r. 3: q's coefficients share one sign, so
+    X(n) != 0. 4: X(0) = Y(0). 5: the cross-multiplied ratios X(n+1)/X(n)
+    = Nx/Dx and Y(n+1)/Y(n) = Ny/Dy agree at n = 0..D, D = (s + t + 4) +
+    deg p + deg r + d bounding Nx Dy - Ny Dx's degree for the row's p, r
+    and depth d, so they agree for all n; by induction X(n+1) = X(n) Nx/Dx
+    = Y(n) Ny/Dy = Y(n+1), as Y(n) = X(n) != 0 makes Dy nonzero."""
+    if cert.label not in _REGISTRY:
+        raise ValueError(f"{cert.label}: step 1: not a registry label")
+    ctx, row = cert.context, seriesdef.catalog_get(_REGISTRY[cert.label][1])
+    top, bot, rho = row.motive.num_params, row.motive.den_params, row.motive.rho
+    p, r = row.numerator_poly, row.denominator_poly
     a_re, a_im, a_den = ctx.n_constant
-    a_norm = a_re * a_re + a_im * a_im
-    terms = [(*cert.numerator(n, 0), _grid_factor(ctx, n, 0))
-             for n in range(n_terms + 1)]
-    steps = [ctx.steps(n, 0)[:2] for n in range(n_terms)]
-    for (x0, y0, g0), (x1, y1, g1), (na, da) in zip(terms, terms[1:], steps):
-        # |R(n+1) A(n)|^2 against |R(n)|^2, both times (scale g0 g1 a_den da)^2
-        size = (x1 * x1 + y1 * y1) * a_norm * (na * g0) ** 2
-        previous = (x0 * x0 + y0 * y0) * (a_den * da * g1) ** 2
-        if (size or previous) and size >= previous:
-            raise ValueError("series terms do not decrease; refusing to sum")
-    # the running total is (re + i im) / (den scale)
-    re, im, den = terms.pop()
-    while steps:
-        x, y, g = terms.pop()
-        na, da = steps.pop()
-        lift, step = a_den * da * den, na * g
-        re, im = (x * lift + step * (a_re * re - a_im * im),
-                  y * lift + step * (a_re * im + a_im * re))
-        den = lift * g
-    return _gaussian(re, im, den * cert.scale) * f_st(ctx, 0, 0)
+    if a_im or not a_re:
+        raise ValueError(f"{cert.label}: step 2: A(n, 0) is not a nonzero rational")
+    f_re, f_im, f_den = _cleared(f_st(ctx, 0, 0))
+    c = 1 if ctx.p.is_rational() else 2
+    # q's coefficients from those of the k = 0 monomials n^2, n, 1, the last three
+    q = [c * (f_re * x - f_im * y) for x, y in zip(cert.real[3:], cert.imag[3:])]
+    if not (min(q) > 0 or max(q) < 0):
+        raise ValueError(f"{cert.label}: step 3: q's coefficients differ in sign")
+    if Fraction(q[2], f_den * cert.scale * _grid_factor(ctx, 0, 0)) != row.term(1):
+        raise ValueError(f"{cert.label}: step 4: the first term is not {row.label}'s")
+    points = range(ctx.s + ctx.t + 4 + p.degree() + r.degree() + len(top) + 3)
+    # q, p and r at each point, times a constant: their primitive int multiples
+    q, p, r = ([sum(a * m ** j for j, a in enumerate(ints)) for m in points]
+               for ints in ([a.numerator for a in poly.primitive()[0].coefficients]
+                            for poly in (IntPoly(q[::-1]), p, r)))
+    rate = rho * prod(v.denominator for v in bot) / prod(u.denominator for u in top)
+    for n, m in zip(points, points[1:-1]):
+        na, da = ctx.steps(n, 0)[:2]
+        if (q[m] * _grid_factor(ctx, n, 0) * a_re * na * p[m] * r[m + 1]
+                * rate.denominator * prod(v.denominator * m + v.numerator for v in bot)
+                != q[n] * _grid_factor(ctx, m, 0) * a_den * da * p[m + 1] * r[m]
+                * rate.numerator * prod(u.denominator * m + u.numerator for u in top)):
+            raise ValueError(f"{cert.label}: step 5: not {row.label}'s ratio at n = {n}")
+    return row
 
 
 def gst_series_sum(cert, n_terms, bits):
-    """Sum G(n, 0) for n = 0..n_terms; the limit is log p.
-
-    The sum is exact (`exact_series_sum`, which refuses a series whose
-    terms do not decrease). Its real part, doubled for a conjugate pair
-    (their two logs add up to the log of the common norm), is rounded
-    once to `bits` fractional bits.
-    """
-    real = exact_series_sum(cert, n_terms).a
-    if not cert.context.p.is_rational():
-        real *= 2
-    return CertificateSum(FixedReal.from_rational(real, bits), n_terms + 1)
+    """c Re G(n, 0) summed over n = 0..n_terms, which tends to log p: terms 1
+    to n_terms + 1 of `certificate_series`'s row, by binary splitting."""
+    row = certificate_series(cert)
+    total = binsplit.node_sum(row, binsplit.split_range(row, 1, n_terms + 2))
+    return CertificateSum(FixedReal.from_rational(total, bits), n_terms + 1)
 
 
 # ----------------------------------------------------------------------
-#  Certificates derived from (variant, p, s, t)
+#  Certificates derived from (variant, p, s, t), with the row they sum
 # ----------------------------------------------------------------------
 
 _REGISTRY = {
-    "log2-s2t1": (1, 2, 2, 1),
-    "log2-s1t2": (2, 2, 1, 2),
-    "log3-s2t1": (1, 3, 2, 1),
-    "log3-s1t2": (2, 3, 1, 2),
-    "log5-s2t1+i": (1, QuadraticRational(2, 1, -1), 2, 1),
-    "log5-s1t2+i": (2, QuadraticRational(2, 1, -1), 1, 2),
-    "log5-s2t1-i": (1, QuadraticRational(2, -1, -1), 2, 1),
-    "log5-s1t2-i": (2, QuadraticRational(2, -1, -1), 1, 2),
+    "log2-s2t1": ((1, 2, 2, 1), "log2-eq8"),
+    "log2-s1t2": ((2, 2, 1, 2), "log2-eq8"),
+    "log3-s2t1": ((1, 3, 2, 1), "log3-eq8a"),
+    "log3-s1t2": ((2, 3, 1, 2), "log3-eq8a"),
+    "log5-s2t1+i": ((1, QuadraticRational(2, 1, -1), 2, 1), "log5-eq8b"),
+    "log5-s1t2+i": ((2, QuadraticRational(2, 1, -1), 1, 2), "log5-eq8b"),
+    "log5-s2t1-i": ((1, QuadraticRational(2, -1, -1), 2, 1), "log5-eq8b"),
+    "log5-s1t2-i": ((2, QuadraticRational(2, -1, -1), 1, 2), "log5-eq8b"),
 }
 
 
@@ -374,7 +373,7 @@ def _derive(ctx, label):
 def certificate_labels(target=None):
     """Registry labels, series order: constant, then lattice shift. With
     a target, only those whose sums reach log(target)."""
-    return [label for label, params in _REGISTRY.items()
+    return [label for label, (params, _) in _REGISTRY.items()
             if target is None or WZContext(*params).target == target]
 
 
@@ -382,7 +381,7 @@ def certificate_labels(target=None):
 def certificate_get(label):
     """The label's certificate, derived from its (variant, p, s, t)."""
     try:
-        params = _REGISTRY[label]
+        params, _ = _REGISTRY[label]
     except KeyError:
         known = ", ".join(_REGISTRY)
         raise KeyError(f"unknown certificate {label!r}; known labels: {known}") from None

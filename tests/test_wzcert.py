@@ -9,6 +9,7 @@ Digit-level checks lean on the interval oracle.
 """
 
 import dataclasses
+import re
 from fractions import Fraction
 from math import ceil, isqrt, log
 
@@ -22,8 +23,8 @@ from logseries.wzcert import (
     base_f,
     certificate_get,
     certificate_labels,
+    certificate_series,
     certificate_telescoping_check,
-    exact_series_sum,
     f_st,
     gst_series_sum,
 )
@@ -162,11 +163,11 @@ def _reference_telescoping_check(cert, n_max, k_max):
 
 
 def _moved(cert, part, index, by):
-    # the certificate with one coefficient of its real or imag part moved
+    # the certificate with one coefficient of its real or imag part moved;
+    # it keeps its registry label, so its sum still reaches the proof
     coefficients = list(getattr(cert, part))
     coefficients[index] += by
-    return dataclasses.replace(cert, label=f"{part}[{index}]{by:+d}",
-                               **{part: tuple(coefficients)})
+    return dataclasses.replace(cert, **{part: tuple(coefficients)})
 
 
 def _flipped(cert):
@@ -182,7 +183,7 @@ def test_telescoping_check_matches_closed_form_reference():
               _moved(conjugate, "imag", 3, 1), _flipped(conjugate)]
     for cert in certs:
         report = certificate_telescoping_check(cert, 5, 5)
-        assert report == _reference_telescoping_check(cert, 5, 5), cert.label
+        assert report == _reference_telescoping_check(cert, 5, 5), cert
     assert [certificate_telescoping_check(c, 5, 5).passed for c in certs[-4:]] \
         == [False, False, False, False]
 
@@ -195,16 +196,71 @@ def test_telescoping_degenerate_parameter_passes():
     report = certificate_telescoping_check(cert, 6, 6)
     assert report.passed and report.points == 49
     assert report == _reference_telescoping_check(cert, 6, 6)
-    assert gst_series_sum(cert, 10, 128).log_value.to_fraction() == 0
+    with pytest.raises(ValueError, match="degenerate: step 1: not a registry label"):
+        gst_series_sum(cert, 10, 128)
 
 
-def test_exact_series_sum_matches_closed_form_terms():
+def test_gst_series_sum_matches_closed_form_terms():
+    # the naive sum of c Re G(n, 0) on closed-form companion values, with
+    # c = 2 for a conjugate 2 +- i parameter, rounded once
     for label in certificate_labels():
         cert = certificate_get(label)
-        partial = QuadraticRational(0, 0, -1)
-        for n in range(31):
-            partial += cert.ratio(n, 0) * f_st(cert.context, n, 0)
-            assert exact_series_sum(cert, n) == partial, (label, n)
+        c = 1 if cert.context.p.is_rational() else 2
+        partial, n = Fraction(0), 0
+        for n_terms in (0, 1, 5, 30):
+            while n <= n_terms:
+                partial += c * _g(cert, n).a
+                n += 1
+            want = wzcert.CertificateSum(FixedReal.from_rational(partial, 256), n_terms + 1)
+            assert gst_series_sum(cert, n_terms, 256) == want, (label, n_terms)
+
+
+ROWS = {"log2-s2t1": "log2-eq8", "log2-s1t2": "log2-eq8",
+        "log3-s2t1": "log3-eq8a", "log3-s1t2": "log3-eq8a",
+        "log5-s2t1+i": "log5-eq8b", "log5-s1t2+i": "log5-eq8b",
+        "log5-s2t1-i": "log5-eq8b", "log5-s1t2-i": "log5-eq8b"}
+
+
+def test_every_certificate_sums_its_catalog_row():
+    assert list(ROWS) == certificate_labels()
+    for label, row in ROWS.items():
+        assert certificate_series(certificate_get(label)) == seriesdef.catalog_get(row)
+
+
+def test_moved_k0_coefficients_are_refused_at_a_named_step():
+    # A k = 0 coefficient (n^2, n, 1 at indices 3, 4, 5) moved by one
+    # changes the k = 0 column, and the proof names the step that fails;
+    # the k^2, nk and k coefficients never reach that column. The real
+    # certificate's imaginary part is multiplied by Im F_st(0, 0) = 0.
+    cases = [("log2-s2t1", "real"), ("log5-s2t1+i", "real"), ("log5-s2t1+i", "imag")]
+    for label, part in cases:
+        row = ROWS[label]
+        for by in (1, -1):
+            for index in (3, 4):
+                with pytest.raises(ValueError, match=rf"^{re.escape(label)}: step 5: "
+                                   rf"not {row}'s ratio at n = 0$"):
+                    certificate_series(_moved(certificate_get(label), part, index, by))
+            with pytest.raises(ValueError, match=rf"^{re.escape(label)}: step 4: "
+                               rf"the first term is not {row}'s$"):
+                certificate_series(_moved(certificate_get(label), part, 5, by))
+            for index in (0, 1, 2):
+                moved = _moved(certificate_get(label), part, index, by)
+                assert certificate_series(moved).label == row, (label, part, index, by)
+    assert certificate_series(_moved(certificate_get("log3-s1t2"), "imag", 5, 1)).label \
+        == "log3-eq8a"
+    # adding n^2 - n keeps X(0) and X(1), so only the ratio at n = 1 differs
+    both = _moved(_moved(certificate_get("log2-s2t1"), "real", 3, 1), "real", 4, -1)
+    with pytest.raises(ValueError, match="^log2-s2t1: step 5: not log2-eq8's ratio at n = 1$"):
+        certificate_series(both)
+
+
+def test_a_complex_step_along_n_is_refused():
+    # A registry context's A(n, 0) is rational; (1, 0) at 2 + i makes it complex.
+    ctx = WZContext(1, QuadraticRational(2, 1, -1), 1, 0)
+    assert ctx.n_constant[1] != 0
+    constant = Certificate(ctx, 3, (0,) * 5 + (1,), (0,) * 5 + (2,), "log5-s2t1+i")
+    with pytest.raises(ValueError, match=r"^log5-s2t1\+i: step 2: "):
+        gst_series_sum(constant, 10, 128)
 
 
 # The eight certificates as the paper's companions give them: R(n, k) is
@@ -309,9 +365,9 @@ def test_every_moved_coefficient_fails_the_grid(capsys, monkeypatch):
     assert len(moved) == 36
     for cert in moved:
         report = certificate_telescoping_check(cert)
-        assert report.failures, cert.label
+        assert report.failures, cert
         n, k = report.failures[0]
-        assert 0 <= n <= 20 and 0 <= k <= 20, cert.label
+        assert 0 <= n <= 20 and 0 <= k <= 20, cert
     # the k^2 coefficient never reaches the k = 0 sum, so only the grid
     # verdict fails, and wz-verify says so
     derive = wzcert.certificate_get
@@ -368,11 +424,9 @@ def test_gst_series_sum_hits_oracle():
 
 def test_gst_conjugate_sums_are_conjugate():
     for stem in ("log5-s2t1", "log5-s1t2"):
-        plus = exact_series_sum(certificate_get(stem + "+i"), 30)
-        minus = exact_series_sum(certificate_get(stem + "-i"), 30)
-        assert plus == minus.conjugate() and plus.b != 0, stem
+        plus = certificate_get(stem + "+i")
         # a conjugate pair's log value is twice the real part, rounded once
-        want = FixedReal.from_rational(2 * plus.a, 192)
+        want = FixedReal.from_rational(2 * sum(_g(plus, n).a for n in range(31)), 192)
         for label in (stem + "+i", stem + "-i"):
             value = gst_series_sum(certificate_get(label), 30, 192)
             assert value.log_value == want and value.terms == 31, label
@@ -385,20 +439,21 @@ def _g(cert, n):
 
 
 def test_gst_divergence_guard():
+    # Series whose terms do not decrease, under their context's registry
+    # label: the proof refuses each at a named step before any sum.
     ctx = WZContext(1, 2, 2, 1)
     # r(n, 0) = 10^9 n^2 + 1: G(1, 0) is far above G(0, 0)
-    growing = Certificate(ctx, 1, (0, 0, 0, 10 ** 9, 0, 1), (0,) * 6, "growing")
+    growing = Certificate(ctx, 1, (0, 0, 0, 10 ** 9, 0, 1), (0,) * 6, "log2-s2t1")
     assert _g(growing, 1).norm() > _g(growing, 0).norm()
-    with pytest.raises(ValueError, match="do not decrease"):
+    with pytest.raises(ValueError, match="^log2-s2t1: step 3: "):
         gst_series_sum(growing, 10, 128)
 
-    # r(n, 0) = (top - 1) n + 1 with G(1, 0) = G(0, 0): equal magnitudes
-    # count as not decreasing
+    # r(n, 0) = (top - 1) n + 1 with G(1, 0) = G(0, 0)
     unit = Certificate(ctx, 1, (0,) * 5 + (1,), (0,) * 6, "unit")
     top = _g(unit, 0) / _g(unit, 1)
-    flat = Certificate(ctx, 1, (0, 0, 0, 0, int(top.a) - 1, 1), (0,) * 6, "flat")
+    flat = Certificate(ctx, 1, (0, 0, 0, 0, int(top.a) - 1, 1), (0,) * 6, "log2-s2t1")
     assert _g(flat, 1) == _g(flat, 0)
-    with pytest.raises(ValueError, match="do not decrease"):
+    with pytest.raises(ValueError, match="^log2-s2t1: step 3: "):
         gst_series_sum(flat, 10, 128)
 
     # the least int top with |G(1, 0)| > |G(0, 0)| grows by under a factor
@@ -406,17 +461,16 @@ def test_gst_divergence_guard():
     ctx = WZContext(1, QuadraticRational(2, 1, -1), 1, 0)
     unit = Certificate(ctx, 1, (0,) * 5 + (1,), (0,) * 6, "unit")
     top = isqrt(int(_g(unit, 0).norm() / _g(unit, 1).norm())) + 1
-    barely = Certificate(ctx, 1, (0, 0, 0, 0, top - 1, 1), (0,) * 6, "barely")
+    barely = Certificate(ctx, 1, (0, 0, 0, 0, top - 1, 1), (0,) * 6, "log5-s2t1+i")
     assert 1 < _g(barely, 1).norm() / _g(barely, 0).norm() < 2
-    with pytest.raises(ValueError, match="do not decrease"):
+    with pytest.raises(ValueError, match=r"^log5-s2t1\+i: step 2: "):
         gst_series_sum(barely, 10, 128)
 
 
-def test_exact_series_sum_of_a_constant_certificate():
-    # A registry context's A is real; (1, 0) at 2 + i makes it complex.
-    ctx = WZContext(1, QuadraticRational(2, 1, -1), 1, 0)
-    assert ctx.n_constant[1] != 0
-    for ctx in (WZContext(1, 2, 2, 1), ctx):
-        constant = Certificate(ctx, 3, (0,) * 5 + (1,), (0,) * 5 + (2,), "constant")
-        assert exact_series_sum(constant, 10) \
-            == sum(_g(constant, n) for n in range(11)), ctx
+def test_wz_verify_sums_thousands_of_terms(capsys):
+    # 3,416 terms for each of the two log 2 certificates
+    assert cli.run(["wz-verify", "--p", "2", "--grid", "2", "--digits", "2000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert all(line.endswith("3416-term sum matches log(2) to >= 2000 digits: yes")
+               for line in lines)
