@@ -25,7 +25,10 @@ floor of |n*T|*10^k / |d*Q| with n/d the scale, as exact integer
 arithmetic in libmpdec (`decimal`), whose number-theoretic-transform
 multiply and Newton division outrun int's at these sizes; an exact
 division there costs several multiplies, so that tree removes nothing.
-No step rounds: the decimal context traps any inexact result.
+No step rounds: the decimal context traps any inexact result. Every
+sum stops at one proven term count (_proven_end), from a closed-form
+majorant of the tail: below 10^-E in evaluate, 2^-bits in
+certified_range.
 
 At low precision that exact root is many times longer than the answer:
 d4(28) at 60 digits sums 5,094 terms into a 317,882-bit Q for about 230
@@ -60,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .seriesdef import SeriesSpec, estimate_terms
+from .seriesdef import SeriesSpec
 
 # Terms folded in one flat loop before the tree starts merging nodes.
 # At 10^5 digits (log2-eq8, log2-eq9, log10-tableI) 16 built the int
@@ -155,7 +158,7 @@ class DigitsResult:
 
 class _Compiled:
     __slots__ = ("num_coeffs", "scale", "x_const", "y_const", "top", "bot",
-                 "shift", "coeff_digits")
+                 "shift", "rho")
 
     def __init__(self, spec: SeriesSpec):
         l_num = math.lcm(*(c.denominator
@@ -163,7 +166,7 @@ class _Compiled:
         self.num_coeffs = tuple(int(c * l_num)
                                 for c in spec.numerator_poly.coefficients)
 
-        rho = spec.motive.rho
+        self.rho = rho = spec.motive.rho
         self.top = tuple((r.denominator, r.numerator - r.denominator)
                          for r in spec.motive.num_params)
         self.bot = tuple((q.denominator, q.numerator - q.denominator)
@@ -183,12 +186,6 @@ class _Compiled:
         folded = self.x_const if spec.start_index == 1 else self.y_const
         self.scale = (spec.normalizer * folded
                       / (spec.denominator_scale * l_num))
-
-        # decimal headroom the numerator polynomial and normalizer can add
-        # on top of the plain |rho|^n tail estimate
-        mag = max(1, max(abs(c) for c in self.num_coeffs))
-        mag *= max(1, abs((spec.normalizer / l_num).numerator))
-        self.coeff_digits = len(str(mag))
 
 
 @lru_cache(maxsize=64)
@@ -348,40 +345,67 @@ def split_range(spec: SeriesSpec, lo: int, hi: int) -> SplitNode:
     return _range_node(_compiled(spec), lo, hi)
 
 
-def certified_range(spec: SeriesSpec, bits: int) -> tuple[int, SplitNode]:
-    """(hi, split_range(spec, start, hi)) with sum_{m>=hi} |term m| < 2^-bits.
+def _proven_end(comp: _Compiled, bits: int) -> int:
+    """An hi with sum_{m>=hi} |term m| < 2^-bits, for |rho| < 1: the one
+    term count that evaluate, certified_range and so every sum use.
 
-    Term m is scale*a(m)*P_m/Q_m, P_m the product of x(j) for start <= j < m
-    and Q_m of y(j) for start <= j <= m (_leaf). So with s = 1 - start,
-    term(m+1)/term(m) = a(m+1)/a(m) * rho * prod (m+s-1+u)/(m+s+v) over the
-    parameters u on top and v below, each factor < 1 as u <= 1 < 1 + v.
+    Term m is scale*a(m)*P_m/Q_m, P_m the product of x(j) for lo <= j < m
+    and Q_m of y(j) for lo <= j <= m (_leaf), lo the start. So with
+    s = 1 - lo, term(m+1)/term(m) = a(m+1)/a(m) * rho * prod
+    (m+s-1+u)/(m+s+v) over the parameters u on top and v below, each
+    factor < 1 as u <= 1 < 1 + v: |P_hi|/Q_hi <= |rho|^(hi-lo)/y(lo).
     A(m) = sum |c_j| m^j over a's coefficients has A(m+1)/A(m) <=
     ((m+1)/m)^deg, so b_m = |scale| A(m) |P_m|/Q_m >= |term m| has
-    b_{m+1}/b_m <= q = |rho| ((hi+1)/hi)^deg for m >= hi, and the tail is
-    at most b_hi/(1 - q) when q < 1. P/Q survives common-factor removal,
-    so b_hi = |scale| A(hi) |P|/(Q y(hi)) and b_hi/(1 - q) < 2^-bits are
-    exact integer work. hi starts where |rho|^(hi - start) reaches 2^-bits
-    (one term at rho = 0, where P = 0), and grows by the shortfall."""
-    rho, comp, lo = spec.motive.rho, _compiled(spec), spec.start_index
-    if abs(rho) >= 1:
-        raise ValueError(f"{spec.label}: series diverges")
+    b_{m+1}/b_m <= q = |rho| ((hi+1)/hi)^deg for m >= hi, and when q < 1
+    the tail is at most b_hi/(1 - q) <= high |rho|^(hi-lo) / low, with the
+    ints high = |n| A(hi) qd and low = d y(lo) (qd - qn), n/d the scale
+    and qn/qd = q. As high < 2^H and low >= 2^(L-1) for their bit lengths
+    H and L, hi - lo >= (H - L + 1 + bits)/log2(1/|rho|) proves the bound,
+    with no power of rho built. The rate log2(1/|rho|) is k + log1p(z)/ln 2
+    for den/num = 2^k (1 + z), z in (0, 3), num/den = |rho|: two
+    nonnegative terms, so however long the ints or close |rho| is to 1,
+    the correctly rounded z, log1p, ln 2, the division and the sum leave
+    it within 8 ulps (2^-49 relative). Cut by 2^-40, it is a lower bound
+    that also covers the quotient's rounding. From hi - lo = 1 the count
+    steps to that quotient's ceiling (doubling while q >= 1) until it no
+    longer grows. At rho = 0, P = 0 past the first term, the whole sum.
+    """
+    lo = 1 - comp.shift
+    if comp.rho == 0:
+        return lo + 1
+    num, den = abs(comp.rho.numerator), comp.rho.denominator
+    k = max(0, den.bit_length() - num.bit_length() - 1)
+    z = (den - (num << k)) / (num << k)
+    rate = (k + math.log1p(z) / math.log(2)) * (1 - 2.0 ** -40)
     deg = len(comp.num_coeffs) - 1
-    rate = math.log2(rho.denominator) - math.log2(abs(rho.numerator or 1))
-    hi = lo + max(1, math.ceil(bits / rate) if rho else 1)
-    node = split_range(spec, lo, hi)
+    # d * y(lo), whose k = lo + shift is 1
+    low_y = comp.scale.denominator * math.prod(
+        (b + shift for b, shift in comp.bot), start=comp.y_const)
+    count = 1
     while True:
-        qn, qd = abs(rho.numerator) * (hi + 1) ** deg, rho.denominator * hi ** deg
+        hi = lo + count
+        qn, qd = num * (hi + 1) ** deg, den * hi ** deg
+        if qn >= qd:
+            count *= 2
+            continue
         poly = sum(abs(c) * hi ** j for j, c in enumerate(comp.num_coeffs))
-        y = math.prod((b * (hi + comp.shift) + shift for b, shift in comp.bot),
-                      start=comp.y_const)
-        high = abs(comp.scale.numerator * node.P) * poly * qd << bits
-        low = comp.scale.denominator * node.Q * y * (qd - qn)
-        if high < low:  # so low > 0 and q < 1
-            return hi, node
-        grow = hi - lo if qn >= qd else math.ceil(
-            (high.bit_length() - low.bit_length() + 1) / rate)
-        node = node.merge(split_range(spec, hi, hi + grow))
-        hi += grow
+        high = abs(comp.scale.numerator) * poly * qd
+        low = low_y * (qd - qn)
+        need = math.ceil((high.bit_length() - low.bit_length() + 1 + bits) / rate)
+        if need <= count:
+            return hi
+        count = need
+
+
+def certified_range(spec: SeriesSpec, bits: int) -> tuple[int, SplitNode]:
+    """(hi, split_range(spec, start, hi)) with sum_{m>=hi} |term m| < 2^-bits,
+    hi from _proven_end's closed-form tail bound; the node is built from
+    the compiled spec already at hand."""
+    if abs(spec.motive.rho) >= 1:
+        raise ValueError(f"{spec.label}: series diverges")
+    comp = _compiled(spec)
+    hi = _proven_end(comp, bits)
+    return hi, _range_node(comp, spec.start_index, hi)
 
 
 def node_sum(spec: SeriesSpec, node: SplitNode) -> Fraction:
@@ -401,20 +425,23 @@ def evaluate(spec: SeriesSpec, digits: int) -> DigitsResult:
     The text is the sign, then the exact floor of |value|*10^digits, so
     a negative limit is truncated toward zero, as machin.log_decimal
     prints it, not floored: log(1/2) at 20 places ends in ...941, where
-    the floor ends in ...942. Guard digits grow until the trailing
-    window pins the truncation down, so a run of 0s or 9s at the
-    boundary can never leak a wrong digit. At
-    rho = 0 the series is a finite sum, so its value is exact and needs
-    no guard test.
+    the floor ends in ...942.
 
-    With n/d the scale, (P, Q, T) the node of the first N terms and E
-    the digits plus the guard, scaled = floor(|n*T| * 10^E / |d*Q|)
-    comes one of two ways. When the size rule (_fixed_widths) picks it,
-    from a fixed-point enclosure at W bits whose two ends give one sign
-    and one floor (_enclosed_floor), W doubling until they do. Otherwise,
-    or once the rule no longer allows a larger W, from one exact libmpdec
-    division of the decimal root. Both yield the same integer, so the
-    path changes no digit.
+    With E the digits plus a guard, the first N terms, N from
+    _proven_end, have |S - S_N| < 10^-E for the limit S. With n/d the
+    scale and (P, Q, T) their node, scaled = floor(|n*T| * 10^E / |d*Q|)
+    = floor(|S_N| * 10^E), so floor(|S| * 10^E) is scaled - 1, scaled or
+    scaled + 1, and a window scaled mod 10^guard that is neither 0 nor
+    10^guard - 1 fixes every printed digit; 0 also covers a sign flip,
+    which needs |S_N| < 10^-E. Otherwise the guard doubles from 10. At
+    rho = 0 the series is a finite sum, exact with no guard test.
+
+    scaled comes from a fixed-point enclosure at W bits whose two ends
+    give one sign and one floor (_enclosed_floor), W doubling until they
+    do, when the size rule (_fixed_widths) picks it; otherwise, or once
+    the rule allows no larger W, from one exact libmpdec division of the
+    decimal root. Both yield the same integer, so the path changes no
+    digit.
     """
     if digits < 1:
         raise ValueError("need at least one digit")
@@ -426,9 +453,10 @@ def evaluate(spec: SeriesSpec, digits: int) -> DigitsResult:
     guard = 10
     with decimal.localcontext(_EXACT):
         while True:
-            slack = guard + comp.coeff_digits + 10
-            hi = lo + estimate_terms(spec, digits + slack)
-            found = _enclosed_floor(comp, lo, hi, digits + guard)
+            places = digits + guard
+            # 3.321928094887363 > log2(10), so the tail is below 10^-places
+            hi = _proven_end(comp, -(-places * 3321928094887363 // 10 ** 15))
+            found = _enclosed_floor(comp, lo, hi, places)
             if found is not None:
                 # an int of any length; str(int) refuses long ones
                 neg, scaled = found[0], _to_decimal(found[1])
@@ -437,7 +465,7 @@ def evaluate(spec: SeriesSpec, digits: int) -> DigitsResult:
                 num, den = n * root.T, d * root.Q
                 del root  # the division is the memory peak; drop P, Q, T
                 neg = num != 0 and (num < 0) != (den < 0)
-                scaled = abs(num).scaleb(digits + guard) // abs(den)
+                scaled = abs(num).scaleb(places) // abs(den)
                 del num, den
             ten_guard = decimal.Decimal(10) ** guard
             window = scaled % ten_guard

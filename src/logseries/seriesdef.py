@@ -180,43 +180,12 @@ def binary_splitting_cost(spec: SeriesSpec, bits: int = 96) -> FixedReal:
         return FixedReal(int(mpmath.ldexp(cost, bits)), bits)
 
 
-# Relative margin around the float term count, over 300 times its
-# proven error (see estimate_terms).
-TERMS_MARGIN = 1e-12
-
-
-def _log_ratio(num: int, den: int) -> float:
-    """ln(den/num) for ints 0 < num < den, with relative error below
-    8 units in the last place: den/num = 2^k * (1 + z) with z in (0, 3)
-    a correctly rounded quotient, and k*ln 2 and log1p(z) are two
-    nonnegative terms each within 3 ulps. No step cancels, however
-    close den/num is to 1 or however long num and den are."""
-    k = max(0, den.bit_length() - num.bit_length() - 1)
-    shifted = num << k
-    return k * math.log(2) + math.log1p((den - shifted) / shifted)
-
-
-def _exact_terms(num: int, den: int, s: int, n: int) -> int:
-    """Smallest N >= 1 with num^N * 10^s <= den^N, searched from n."""
-    while num ** n * 10 ** s > den ** n:
-        n += 1
-    while n > 1 and num ** (n - 1) * 10 ** s <= den ** (n - 1):
-        n -= 1
-    return n
-
-
 def estimate_terms(spec: SeriesSpec, decimal_digits: int) -> int:
-    """Smallest N with |rho|^N <= 10^-(digits+10), exactly.
-
-    With |rho| = num/den and s = digits + 10, N is max(1, ceil(t)) for
-    t = s*ln 10 / ln(den/num). t is computed in floats: s is exact below
-    2^53, ln 10 and the product and quotient are each correctly rounded,
-    and _log_ratio is within 8 ulps, so the float t is within 12 ulps
-    (3e-15 relative) of the true t. When no integer lies within
-    TERMS_MARGIN of it, the true t has the same ceiling. Otherwise t may
-    be an integer (rho = 10^-k with k dividing s is an exact tie), and
-    the count is decided by comparing exact powers from that integer on.
-    """
+    """An estimate of the least N with |rho|^N <= 10^-(digits+10):
+    max(1, ceil((digits + 10) ln 10 / ln(1/|rho|))) in floats, one off
+    at most where that quotient lies within rounding of an integer. It
+    sizes work (betaproof's guard, the benchmark's probe); no sum stops
+    at it, as binsplit proves its own term counts."""
     if decimal_digits < 1:
         raise ValueError("need at least one digit")
     rho = spec.motive.rho
@@ -224,13 +193,8 @@ def estimate_terms(spec: SeriesSpec, decimal_digits: int) -> int:
         raise ValueError(f"{spec.label}: |rho| >= 1, series diverges")
     if rho == 0:
         return 1
-    s = decimal_digits + 10
-    num, den = abs(rho.numerator), rho.denominator
-    t = s * math.log(10) / _log_ratio(num, den)
-    low = math.ceil(t * (1 - TERMS_MARGIN))
-    if low == math.ceil(t * (1 + TERMS_MARGIN)):
-        return max(1, low)
-    return _exact_terms(num, den, s, max(1, low))
+    rate = math.log(rho.denominator) - math.log(abs(rho.numerator))
+    return max(1, math.ceil((decimal_digits + 10) * math.log(10) / rate))
 
 
 # ----------------------------------------------------------------------

@@ -306,12 +306,14 @@ def certificate_series(cert):
     return row
 
 
-def gst_series_sum(cert, n_terms, bits):
-    """c Re G(n, 0) summed over n = 0..n_terms, which tends to log p: terms 1
-    to n_terms + 1 of `certificate_series`'s row, by binary splitting."""
+def gst_series_sum(cert, bits):
+    """c Re G(n, 0) summed over n = 0..N-1, which tends to log p, within
+    2^-bits of its limit before the one rounding to `bits` bits: terms 1 to
+    N of `certificate_series`'s row, N as binsplit.certified_range proves."""
     row = certificate_series(cert)
-    total = binsplit.node_sum(row, binsplit.split_range(row, 1, n_terms + 2))
-    return CertificateSum(FixedReal.from_rational(total, bits), n_terms + 1)
+    hi, node = binsplit.certified_range(row, bits)
+    total = binsplit.node_sum(row, node)
+    return CertificateSum(FixedReal.from_rational(total, bits), hi - 1)
 
 
 # ----------------------------------------------------------------------

@@ -141,10 +141,8 @@ def test_criterion_07_wz_certificates():
             wzcert.certificate_get(label), 20, 20)
         assert report.passed, (label, report.failures)
         assert report.points == 441, label
-    for label, p, terms in (("log2-s2t1", 2, 60), ("log3-s1t2", 3, 70),
-                            ("log5-s2t1+i", 5, 65)):
-        value = wzcert.gst_series_sum(wzcert.certificate_get(label),
-                                      terms, 256)
+    for label, p in (("log2-s2t1", 2), ("log3-s1t2", 3), ("log5-s2t1+i", 5)):
+        value = wzcert.gst_series_sum(wzcert.certificate_get(label), 256)
         want = Fraction(machin.log_decimal(p, 55))
         assert abs(value.log_value.to_fraction() - want) \
             < Fraction(1, 10 ** 40), label

@@ -163,13 +163,15 @@ def test_doubling_digits_roughly_doubles_terms():
 
 
 def _assert_tail_below(spec, bits):
-    """certified_range's sum is within 2^-bits of one over 3x the terms."""
+    """certified_range's sum is within 2^-bits of one over 3x the terms;
+    returns its term count."""
     hi, node = bs.certified_range(spec, bits)
     lo = spec.start_index
     assert meaning(node) == meaning(bs.split_range(spec, lo, hi))
     far = bs.node_sum(spec, bs.split_range(spec, lo, lo + 3 * (hi - lo)))
     assert abs(far - bs.node_sum(spec, node)) < Fraction(1, 2 ** bits), \
         (spec.label, spec.motive.rho, bits, hi)
+    return hi - lo
 
 
 @pytest.mark.parametrize("name", ["1,2", "3,2", "M4C", "3,4"])
@@ -192,21 +194,19 @@ def test_certified_range_bounds_the_tail_of_every_weighted_sum(name):
                     _assert_tail_below(spec, bits)
 
 
-def test_certified_range_bounds_tails_that_shrink_slower_than_rho(
-        monkeypatch):
+def test_certified_range_bounds_tails_that_shrink_slower_than_rho():
     # the motive's factors make every s_i above shrink faster than rho;
     # n^8 and n^12 outgrow them, and only ((hi+1)/hi)^deg in q covers it.
-    # The first hi, where |rho|^hi reaches 2^-bits, then falls short.
-    grown, split = [], bs.split_range
-    monkeypatch.setattr(bs, "split_range", lambda spec, lo, hi: (
-        grown.append(lo > spec.start_index) or split(spec, lo, hi)))
+    # The first count, where |rho|^count reaches 2^-bits, then falls short.
+    grown = []
     for rho in (Fraction(1, 2), Fraction(5, 9)):
         motive = sd.Motive(*sd.gamma_quotient_motive(1, 2), rho)
         for i in (4, 8, 12):
             spec = sd.SeriesSpec(motive, IntPoly([0] * i + [1]), 1, 1, 1,
                                  f"n^{i}")
             for bits in (8, 24, 53, 100, 333):
-                _assert_tail_below(spec, bits)
+                first = math.ceil(bits / -math.log2(rho))
+                grown.append(_assert_tail_below(spec, bits) > first)
     assert any(grown)
 
 
@@ -226,6 +226,54 @@ def test_certified_range_bounds_every_catalog_and_family_tail():
     one = sd.SeriesSpec(sd.Motive(*params, 1), IntPoly([1]), 1, 1, 1, "rate 1")
     with pytest.raises(ValueError, match="rate 1: series diverges"):
         bs.certified_range(one, 10)
+
+
+def tail_excess(spec, bits, few):
+    """(tail below 2^-bits, N - least N) for certified_range's count N,
+    each tail exact against the sum over 3N terms; the least N is sought
+    at most `few` terms down."""
+    hi, node = bs.certified_range(spec, bits)
+    lo, bound = spec.start_index, Fraction(1, 2 ** bits)
+    far = bs.node_sum(spec, bs.split_range(spec, lo, lo + 3 * (hi - lo)))
+    below = abs(far - bs.node_sum(spec, node)) < bound
+    least = hi
+    while least - 1 > lo and hi - least <= few and abs(far - bs.node_sum(
+            spec, bs.split_range(spec, lo, least - 1))) < bound:
+        least -= 1
+    return below, hi - least
+
+
+def test_proven_count_is_within_a_few_terms_of_the_least():
+    # catalog rows (start 1), family members (start 0), tall coefficients
+    # and negative rates. A positive rate near 1 whose motive factors
+    # barely shrink makes 1/(1 - q) matter. Without it, or with A(hi)
+    # dropped, a tail exceeds the bound; with 10 digits of slack a count
+    # runs more than `few` terms past the least
+    slow = sd.SeriesSpec(sd.Motive((1,), (Fraction(1, 100),), Fraction(9, 10)),
+                         IntPoly([1]), 1, 1, 1, "slow")
+    specs = [sd.catalog_get(label) for label in sd.catalog_labels()]
+    specs += [sd.level1_series(5), sd.d4_family(Fraction(5, 2)), sd.d4_family(7),
+              sd.d6_family(3), sd.level2_series(Fraction(1, 2)),
+              sd.level2_series(3), tall(sd.catalog_get("log2-eq18")),
+              tall(sd.catalog_get("log7-tableI")),
+              tall(sd.level1_series(Fraction(2, 3))), slow]
+    few = 4
+    for spec in specs:
+        for bits in (64, 200):
+            below, excess = tail_excess(spec, bits, few)
+            assert below and excess <= few, (spec.label, bits, excess)
+
+
+@pytest.mark.parametrize("make, last", [
+    (sd.level1_series, 13), (sd.level2_series, 21), (sd.d4_family, 28),
+    (sd.d6_family, 17), (lambda x: sd.beta_family(5, 2, x, "(5,2)"), 42)])
+def test_evaluate_is_exact_at_each_family_edge(make, last):
+    # the last integer inside each convergence region, where |rho| is
+    # nearest 1 and the term count largest; the next one is refused
+    assert bs.evaluate(make(last), 60).decimal_digits == \
+        machin.log_decimal(last, 60)
+    with pytest.raises(ValueError, match="convergence region"):
+        make(last + 1)
 
 
 def test_evaluate_matches_oracle_500_digits_all_catalog():
@@ -304,12 +352,12 @@ def test_leaf_size_boundary(monkeypatch):
     digits = 1200
     want = machin.log_decimal(2, digits)
     seen = []
-    real = bs.estimate_terms
+    real = bs._proven_end
     with monkeypatch.context() as m:
-        m.setattr(bs, "estimate_terms",
-                  lambda s, d: seen.append(real(s, d)) or seen[-1])
+        m.setattr(bs, "_proven_end",
+                  lambda comp, bits: seen.append(real(comp, bits)) or seen[-1])
         bs.evaluate(spec, digits)
-    n = seen[-1]
+    n = seen[-1] - spec.start_index
     for leaf in (n + 1, n, n - 1, 3):
         monkeypatch.setattr(bs, "INT_LEAF_TERMS", leaf)
         assert bs.evaluate(spec, digits).decimal_digits == want, leaf
@@ -511,10 +559,9 @@ def test_an_exception_in_the_child_keeps_its_message(forks, monkeypatch):
 
 def first_terms(spec, digits):
     """evaluate's first range [lo, hi) and E for `digits` (guard 10)."""
-    comp = bs._compiled(spec)
-    lo = spec.start_index
-    hi = lo + sd.estimate_terms(spec, digits + 20 + comp.coeff_digits)
-    return comp, lo, hi, digits + 10
+    comp, places = bs._compiled(spec), digits + 10
+    hi = bs._proven_end(comp, -(-places * 3321928094887363 // 10 ** 15))
+    return comp, spec.start_index, hi, places
 
 
 def tall(spec, factor=10 ** 12):

@@ -104,8 +104,7 @@ def test_the_mpmath_checker_sees_both_import_forms(tmp_path):
 def test_binsplit_reads_only_the_spec_from_seriesdef():
     # binsplit sums any SeriesSpec; the catalog, its targets and the
     # families belong to the callers
-    assert _names_from(PACKAGE / "binsplit.py", "seriesdef") \
-        <= {"SeriesSpec", "estimate_terms"}
+    assert _names_from(PACKAGE / "binsplit.py", "seriesdef") <= {"SeriesSpec"}
 
 
 def _fork_uses(path):

@@ -4,7 +4,6 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from logseries import betaproof as bp
@@ -143,43 +142,6 @@ def test_estimate_terms_matches_exact_powers_on_families():
                 assert sd.estimate_terms(member, digits) == \
                     _exact_power_terms(spec.motive.rho, digits), \
                     (spec.label, start, digits)
-
-
-def test_estimate_terms_decides_exact_ties_by_powers(monkeypatch):
-    # rho = 10^-k with k dividing digits + 10 puts the float count on an
-    # integer: only the exact fallback may decide it
-    fallbacks = []
-    real = sd._exact_terms
-    monkeypatch.setattr(sd, "_exact_terms",
-                        lambda *args: fallbacks.append(args) or real(*args))
-    base = sd.catalog_get("log2-eq8")
-    ties = 0
-    for digits in range(1, 201):
-        s = digits + 10
-        for k in range(1, s + 1):
-            if s % k == 0:
-                rho = Fraction(1, 10 ** k)
-                spec = dataclasses.replace(base, motive=sd.Motive(
-                    base.motive.num_params, base.motive.den_params, rho))
-                got = sd.estimate_terms(spec, digits)
-                assert got == _exact_power_terms(rho, digits) == s // k
-                ties += 1
-    assert len(fallbacks) == ties
-
-
-def test_estimate_terms_needs_no_exact_power_at_a_million_digits(monkeypatch):
-    def no_powers(*args):
-        raise AssertionError("near-tie fallback taken")
-    monkeypatch.setattr(sd, "_exact_terms", no_powers)
-    spec = sd.catalog_get("log2-eq8")
-    digits = 10 ** 6
-    n = sd.estimate_terms(spec, digits)
-    with mpmath.workdps(50):
-        rho = abs(spec.motive.rho)
-        t = (digits + 10) * mpmath.log(10) / mpmath.log(
-            mpmath.mpf(rho.denominator) / rho.numerator)
-        assert n == int(mpmath.ceil(t))
-        assert min(t - mpmath.floor(t), mpmath.ceil(t) - t) > sd.TERMS_MARGIN * t
 
 
 def test_catalog_lookup_and_structure():

@@ -15,7 +15,7 @@ from math import ceil, isqrt, log
 
 import pytest
 
-from logseries import cli, machin, seriesdef, wzcert
+from logseries import binsplit, cli, machin, seriesdef, wzcert
 from logseries.exactnum import FixedReal, QuadraticRational
 from logseries.wzcert import (
     Certificate,
@@ -197,22 +197,24 @@ def test_telescoping_degenerate_parameter_passes():
     assert report.passed and report.points == 49
     assert report == _reference_telescoping_check(cert, 6, 6)
     with pytest.raises(ValueError, match="degenerate: step 1: not a registry label"):
-        gst_series_sum(cert, 10, 128)
+        gst_series_sum(cert, 128)
 
 
 def test_gst_series_sum_matches_closed_form_terms():
-    # the naive sum of c Re G(n, 0) on closed-form companion values, with
-    # c = 2 for a conjugate 2 +- i parameter, rounded once
+    # the naive sum of c Re G(n, 0) on closed-form companion values over
+    # the proven count, with c = 2 for a conjugate 2 +- i parameter,
+    # rounded once
     for label in certificate_labels():
         cert = certificate_get(label)
         c = 1 if cert.context.p.is_rational() else 2
-        partial, n = Fraction(0), 0
-        for n_terms in (0, 1, 5, 30):
-            while n <= n_terms:
-                partial += c * _g(cert, n).a
-                n += 1
-            want = wzcert.CertificateSum(FixedReal.from_rational(partial, 256), n_terms + 1)
-            assert gst_series_sum(cert, n_terms, 256) == want, (label, n_terms)
+        counts = []
+        for bits in (8, 64, 256):
+            value = gst_series_sum(cert, bits)
+            partial = sum((c * _g(cert, n).a for n in range(value.terms)), Fraction(0))
+            want = wzcert.CertificateSum(FixedReal.from_rational(partial, bits), value.terms)
+            assert value == want, (label, bits)
+            counts.append(value.terms)
+        assert counts == sorted(counts) and counts[0] < counts[-1], label
 
 
 ROWS = {"log2-s2t1": "log2-eq8", "log2-s1t2": "log2-eq8",
@@ -260,7 +262,7 @@ def test_a_complex_step_along_n_is_refused():
     assert ctx.n_constant[1] != 0
     constant = Certificate(ctx, 3, (0,) * 5 + (1,), (0,) * 5 + (2,), "log5-s2t1+i")
     with pytest.raises(ValueError, match=r"^log5-s2t1\+i: step 2: "):
-        gst_series_sum(constant, 10, 128)
+        gst_series_sum(constant, 128)
 
 
 # The eight certificates as the paper's companions give them: R(n, k) is
@@ -410,13 +412,13 @@ def test_certificate_terms_equal_catalog_terms():
 
 
 def test_gst_series_sum_hits_oracle():
-    cases = [("log2-s2t1", 2, 45), ("log2-s1t2", 2, 45),
-             ("log3-s2t1", 3, 55), ("log3-s1t2", 3, 55),
-             ("log5-s2t1+i", 5, 50), ("log5-s2t1-i", 5, 50),
-             ("log5-s1t2+i", 5, 50), ("log5-s1t2-i", 5, 50)]
-    for label, p, terms in cases:
-        value = gst_series_sum(certificate_get(label), terms, 256)
-        assert value.terms == terms + 1
+    cases = [("log2-s2t1", 2), ("log2-s1t2", 2), ("log3-s2t1", 3), ("log3-s1t2", 3),
+             ("log5-s2t1+i", 5), ("log5-s2t1-i", 5), ("log5-s1t2+i", 5), ("log5-s1t2-i", 5)]
+    for label, p in cases:
+        value = gst_series_sum(certificate_get(label), 256)
+        # terms 1 to N of the row, N the count certified_range proves
+        row = seriesdef.catalog_get(ROWS[label])
+        assert value.terms == binsplit.certified_range(row, 256)[0] - 1
         want = Fraction(machin.log_decimal(p, 60))
         got = value.log_value.to_fraction()
         assert abs(got - want) < Fraction(1, 10 ** 50), label
@@ -425,11 +427,12 @@ def test_gst_series_sum_hits_oracle():
 def test_gst_conjugate_sums_are_conjugate():
     for stem in ("log5-s2t1", "log5-s1t2"):
         plus = certificate_get(stem + "+i")
+        terms = gst_series_sum(plus, 192).terms
         # a conjugate pair's log value is twice the real part, rounded once
-        want = FixedReal.from_rational(2 * sum(_g(plus, n).a for n in range(31)), 192)
+        want = FixedReal.from_rational(2 * sum(_g(plus, n).a for n in range(terms)), 192)
         for label in (stem + "+i", stem + "-i"):
-            value = gst_series_sum(certificate_get(label), 30, 192)
-            assert value.log_value == want and value.terms == 31, label
+            value = gst_series_sum(certificate_get(label), 192)
+            assert value.log_value == want and value.terms == terms, label
     assert [f.name for f in dataclasses.fields(wzcert.CertificateSum)] \
         == ["log_value", "terms"]
 
@@ -446,7 +449,7 @@ def test_gst_divergence_guard():
     growing = Certificate(ctx, 1, (0, 0, 0, 10 ** 9, 0, 1), (0,) * 6, "log2-s2t1")
     assert _g(growing, 1).norm() > _g(growing, 0).norm()
     with pytest.raises(ValueError, match="^log2-s2t1: step 3: "):
-        gst_series_sum(growing, 10, 128)
+        gst_series_sum(growing, 128)
 
     # r(n, 0) = (top - 1) n + 1 with G(1, 0) = G(0, 0)
     unit = Certificate(ctx, 1, (0,) * 5 + (1,), (0,) * 6, "unit")
@@ -454,7 +457,7 @@ def test_gst_divergence_guard():
     flat = Certificate(ctx, 1, (0, 0, 0, 0, int(top.a) - 1, 1), (0,) * 6, "log2-s2t1")
     assert _g(flat, 1) == _g(flat, 0)
     with pytest.raises(ValueError, match="^log2-s2t1: step 3: "):
-        gst_series_sum(flat, 10, 128)
+        gst_series_sum(flat, 128)
 
     # the least int top with |G(1, 0)| > |G(0, 0)| grows by under a factor
     # 2 in squared norm; here A is complex, with |A|^2 = 5 (na/(10 da))^2
@@ -464,13 +467,13 @@ def test_gst_divergence_guard():
     barely = Certificate(ctx, 1, (0, 0, 0, 0, top - 1, 1), (0,) * 6, "log5-s2t1+i")
     assert 1 < _g(barely, 1).norm() / _g(barely, 0).norm() < 2
     with pytest.raises(ValueError, match=r"^log5-s2t1\+i: step 2: "):
-        gst_series_sum(barely, 10, 128)
+        gst_series_sum(barely, 128)
 
 
 def test_wz_verify_sums_thousands_of_terms(capsys):
-    # 3,416 terms for each of the two log 2 certificates
+    # 564 terms of log2-eq8 for each of the two log 2 certificates
     assert cli.run(["wz-verify", "--p", "2", "--grid", "2", "--digits", "2000"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
-    assert all(line.endswith("3416-term sum matches log(2) to >= 2000 digits: yes")
+    assert all(line.endswith("564-term sum matches log(2) to >= 2000 digits: yes")
                for line in lines)
