@@ -9,9 +9,10 @@ partial-fraction coefficients exactly (pfbeta, certified by
 pfbeta_residual), gives a series' summand as an exact rational function
 (summand_quotient, which compares a catalog row with its family
 member), builds the integer integrand pair u(x)/v(x) for the degree-2
-rows, validates the integral identities by high-precision quadrature
-against the machin oracle, and reduces the four hypergeometric closed
-forms, each checked against its series, to one exact rational logarithm.
+rows, proves each row's integral equal to log p with an exact
+logarithmic antiderivative (Rothstein-Trager), and reduces the four
+hypergeometric closed forms, each checked against its series, to one
+exact rational logarithm.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from __future__ import annotations
 import dataclasses
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import mpmath
 
 from .exactnum import IntPoly, QuadraticRational, poly_gcd
-from . import binsplit, machin, seriesdef
+from . import binsplit, seriesdef
 from .seriesdef import estimate_terms, gamma_quotient_motive
 
 
@@ -114,13 +115,13 @@ def pfbeta_residual(G, A, m, a, N, b):
     return residual
 
 
-def _shift_by_one(poly):
-    """poly(x + 1) as a new polynomial."""
+def _compose(poly, inner):
+    """poly(inner(x)) as a new polynomial."""
     out = IntPoly([])
     basis = IntPoly([1])
     for c in poly.coefficients:
         out = out + basis * c
-        basis = basis * IntPoly([1, 1])
+        basis = basis * inner
     return out
 
 
@@ -138,9 +139,10 @@ def summand_quotient(spec):
         num = spec.numerator_poly * spec.normalizer
         den = spec.denominator_poly
     else:
-        num = _shift_by_one(spec.numerator_poly) * (spec.normalizer * motive.rho)
+        step = IntPoly([1, 1])
+        num = _compose(spec.numerator_poly, step) * (spec.normalizer * motive.rho)
         num = num * IntPoly.from_linear_factors([(1, r) for r in motive.num_params])
-        den = _shift_by_one(spec.denominator_poly)
+        den = _compose(spec.denominator_poly, step)
         den = den * IntPoly.from_linear_factors([(1, q) for q in motive.den_params])
     common = poly_gcd(num, den)
     if common.degree() > 0:
@@ -166,11 +168,12 @@ class IntegrandPair:
                 raise ValueError("integrand polynomials must have integer coefficients")
         if self.v_poly.is_zero():
             raise ValueError("denominator polynomial is zero")
-        # Certify v != 0 on [0, 1] by the crude positive bound: the
-        # constant term must dominate the negative coefficients. This is
+        # Certify v != 0 on [0, 1] by the crude bound: the constant term
+        # must dominate the coefficients of the other sign. This is
         # sufficient for every row this package builds.
         coeffs = self.v_poly.coefficients
-        floor = coeffs[0] + sum(c for c in coeffs[1:] if c < 0)
+        sign = 1 if coeffs[0] > 0 else -1
+        floor = sign * coeffs[0] + sum(min(0, sign * c) for c in coeffs[1:])
         if floor <= 0:
             raise ValueError("cannot certify the denominator is nonzero on [0, 1]")
 
@@ -201,55 +204,78 @@ def build_integrand(params):
     return IntegrandPair(u_poly, v_poly)
 
 
-@dataclasses.dataclass(frozen=True)
-class IntegralReport:
-    p: int
-    digits: int
-    passed: bool
-    difference: str
+# Largest denominator a residue is proposed with; the d = 2 rows need 3.
+_RESIDUE_DENOMINATOR = 10 ** 4
 
 
-def integral_value(pair, digits):
-    """Quadrature value of integral_0^1 u/v dx/sqrt(1-x).
+def _float_roots(poly):
+    """Complex float roots of poly by Durand-Kerner iteration. They only
+    propose residues, which integral_check confirms or rejects exactly."""
+    descending = [complex(c / poly.leading()) for c in reversed(poly.coefficients)]
+    roots = [(0.4 + 0.9j) ** k for k in range(poly.degree())]
+    for _ in range(200):
+        moved = 0.0
+        for i, r in enumerate(roots):
+            value = 0j
+            for c in descending:
+                value = value * r + c
+            step = value / prod(r - s for j, s in enumerate(roots) if j != i)
+            roots[i] = r - step
+            moved = max(moved, abs(step))
+        if moved < 1e-13:
+            break
+    return roots
 
-    The substitution x = 1 - t^2 removes the endpoint singularity, after
-    which the integrand is analytic on [0, 1] and tanh-sinh quadrature
-    converges exponentially.
+
+def integral_check(pair, p):
+    """Exact proof that integral_0^1 u/v dx/sqrt(1-x) = log p, by
+    Rothstein-Trager; returns the antiderivative's terms (c, h).
+
+    With x = 1 - t^2 the integral is integral_0^1 U/V dt, U = 2 u(1-t^2),
+    V = v(1-t^2). Float residues U(r)/V'(r) only propose rational c;
+    h_c is the primitive part of the exact gcd(V, U - c V'). Three
+    identities decide: W = prod h_c is V's primitive part; U W =
+    V sum c h' W/h, so U/V = sum c h'/h; and prod |h(1)/h(0)|^(c L) =
+    p^L, L the lcm of the c's denominators. Each h divides V, nonzero
+    on [0, 1] as v is (the pair's bound), so the integral is
+    sum c log|h(1)/h(0)| = log p. A residue with no rational candidate
+    is undecided; each failure raises ValueError naming its step. Terms
+    with c = 0 are dropped: a zero numerator has none, and log 1 = 0.
     """
-    top = [int(c) for c in reversed(pair.u_poly.coefficients)]
-    bottom = [int(c) for c in reversed(pair.v_poly.coefficients)]
-    with mpmath.workdps(digits + 10):
-        def integrand(t):
-            x = 1 - t * t
-            return 2 * mpmath.polyval(top, x) / mpmath.polyval(bottom, x)
-
-        value, error = mpmath.quad(integrand, [0, 1], error=True)
-        if error > mpmath.mpf(10) ** (-(digits + 2)):
-            raise ValueError(f"quadrature did not converge: error estimate {mpmath.nstr(error, 3)}")
-        return value
-
-
-def _mpf_of_digits(text):
-    """Digit text as an mpf. mpmath.mpf(text) and Fraction(text) refuse
-    over 4,300 digits; Decimal reads any length."""
-    exact = Fraction(Decimal(text))
-    return mpmath.mpf(exact.numerator) / exact.denominator
-
-
-def integral_check(pair, expected_log_p, digits):
-    """Quadrature of the integrand pair against the oracle's value of
-    log expected_log_p, to `digits` decimal digits."""
-    with mpmath.workdps(digits + 10):
-        value = integral_value(pair, digits)
-        reference = _mpf_of_digits(machin.log_decimal(expected_log_p, digits + 10))
-        difference = abs(value - reference)
-        passed = difference < mpmath.mpf(10) ** (-digits)
-        return IntegralReport(
-            p=expected_log_p,
-            digits=digits,
-            passed=bool(passed),
-            difference=mpmath.nstr(difference, 3),
-        )
+    one_minus_t2 = IntPoly([1, 0, -1])
+    top = _compose(pair.u_poly, one_minus_t2) * 2
+    bottom = _compose(pair.v_poly, one_minus_t2)
+    slope = bottom.derivative()
+    factors = {}
+    for root in _float_roots(bottom):
+        residue = complex(top(root) / slope(root))
+        c = Fraction(residue.real).limit_denominator(_RESIDUE_DENOMINATOR)
+        if c not in factors:
+            h = poly_gcd(bottom, top + slope * -c).primitive()[0]
+            if h.degree() < 1:
+                raise ValueError(f"p={p}: undecided: the residue {residue:.6g} "
+                                 f"is not a rational with denominator "
+                                 f"<= {_RESIDUE_DENOMINATOR}")
+            factors[c] = h
+    whole = IntPoly([1])
+    for h in factors.values():
+        whole = whole * h
+    if whole != bottom.primitive()[0]:
+        raise ValueError(f"p={p}: the factors h_c do not multiply to V")
+    terms = sorted(((c, h) for c, h in factors.items() if c),
+                   key=lambda term: (term[1].degree(), -term[0]))
+    logarithmic = IntPoly([])
+    for c, h in terms:
+        logarithmic = logarithmic + h.derivative() * whole.divmod(h)[0] * c
+    if top * whole != bottom * logarithmic:
+        raise ValueError(f"p={p}: U/V is not the sum of c h'/h")
+    scale = lcm(*(c.denominator for c, _ in terms))
+    power = Fraction(1)
+    for c, h in terms:
+        power *= abs(h(1) / h(0)) ** int(c * scale)
+    if power != p ** scale:
+        raise ValueError(f"p={p}: prod |h(1)/h(0)|^c is not {p}")
+    return tuple(terms)
 
 
 # ----------------------------------------------------------------------
@@ -265,6 +291,13 @@ PHI_TERMS_LIMIT = 200000
 # and D sums H(n)/(2n-1) from n = 1, B sums H(n)/(6n+1) and C sums
 # H(n)/(6n+5) from n = 0.
 _PHI_SERIES = (([-1, 2], 1), ([5, 6], 0), ([1, 6], 0), ([0, 1], 1))
+
+
+def _mpf_of_digits(text):
+    """Digit text as an mpf. mpmath.mpf(text) and Fraction(text) refuse
+    over 4,300 digits; Decimal reads any length."""
+    exact = Fraction(Decimal(text))
+    return mpmath.mpf(exact.numerator) / exact.denominator
 
 
 def _phi_series(rho, digits):

@@ -221,6 +221,9 @@ class IntPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coefficients[-1]
 
+    def derivative(self):
+        return IntPoly([k * c for k, c in enumerate(self.coefficients)][1:])
+
     def __call__(self, x):
         acc = Fraction(0)
         for c in reversed(self.coefficients):

@@ -122,12 +122,12 @@ def test_criterion_05_partial_fraction_exactness():
 
 
 def test_criterion_06_integral_and_closed_forms():
-    """Quadrature of each integrand recovers log p to 40 digits; the
-    closed-form combination is exactly 1 * log p, for the real algebraic
-    points (p = 2, 3, 7) and the complex ones (p = 5, 10)."""
+    """Each integrand's integral is exactly log p, by an exact logarithmic
+    antiderivative; the closed-form combination is exactly 1 * log p, for
+    the real algebraic points (p = 2, 3, 7) and the complex ones
+    (p = 5, 10)."""
     for p in (2, 3, 5, 7, 10):
-        report = bp.integral_check(bp.build_integrand(sd.d2_params(p)), p, 40)
-        assert report.passed, (p, report.difference)
+        assert bp.integral_check(bp.build_integrand(sd.d2_params(p)), p), p
     for p in (2, 3, 7, 5, 10):
         assert bp.log_from_closed_forms(p, bits=200) == (1, p)
 

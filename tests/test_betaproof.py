@@ -208,23 +208,67 @@ def test_integrand_pair_validation():
         bp.IntegrandPair(IntPoly([1]), IntPoly([]))
     with pytest.raises(ValueError):
         bp.IntegrandPair(IntPoly([1]), IntPoly([-1, 2]))  # root at 1/2
+    with pytest.raises(ValueError):
+        bp.IntegrandPair(IntPoly([1]), IntPoly([0, 1]))  # root at 0
+    # negative throughout [0, 1]: the bound holds for -v
+    bp.IntegrandPair(IntPoly([1]), IntPoly([-100, 0, -1, 1]))
 
 
 def test_integral_check_all_printed_rows(monkeypatch):
-    # the reference is the oracle, never a series such as the row under proof
-    def no_series(*args):
-        raise AssertionError("integral_check evaluated a series")
+    # no oracle, no quadrature and no series decides the verdict
+    def refuse(*args, **kwargs):
+        raise AssertionError("integral_check read a numeric value")
 
-    monkeypatch.setattr(binsplit, "evaluate", no_series)
+    monkeypatch.setattr(machin, "log_decimal", refuse)
+    monkeypatch.setattr(mpmath, "quad", refuse)
+    monkeypatch.setattr(binsplit, "evaluate", refuse)
     for p in (2, 3, 5, 7, 10):
         pair = bp.build_integrand(sd.d2_params(p))
-        report = bp.integral_check(pair, p, 40)
-        assert report.passed, (p, report.difference)
+        terms = bp.integral_check(pair, p)
+        assert terms and all(h.degree() >= 1 for _, h in terms), p
+
+
+def test_integral_check_pins_the_antiderivatives():
+    def pair_terms(p):
+        terms = bp.integral_check(bp.build_integrand(sd.d2_params(p)), p)
+        return {c: h for c, h in terms}
+
+    assert pair_terms(2) == {
+        Fraction(2, 3): IntPoly([3, 1]), Fraction(-2, 3): IntPoly([-3, 1]),
+        Fraction(1, 3): IntPoly([8, 3, 1]), Fraction(-1, 3): IntPoly([8, -3, 1]),
+    }
+    assert pair_terms(5) == {1: IntPoly([5, 4, 1]), -1: IntPoly([5, -4, 1])}
+
+
+def test_integral_check_shifted_roots_never_pass(monkeypatch):
+    # the float roots only propose residues: wrong ones leave the
+    # verdict undecided or fail a named identity, never pass
+    roots = bp._float_roots
+    for shift in (1e-3, 0.05, 0.5j, 1):
+        monkeypatch.setattr(bp, "_float_roots",
+                            lambda poly, s=shift: [r + s for r in roots(poly)])
+        for p in (2, 3, 5, 7, 10):
+            pair = bp.build_integrand(sd.d2_params(p))
+            with pytest.raises(ValueError, match=f"^p={p}: "):
+                bp.integral_check(pair, p)
+
+
+def test_integral_check_names_the_failed_step():
+    pair = bp.build_integrand(sd.d2_params(2))
+    with pytest.raises(ValueError, match=r"^p=3: prod \|h\(1\)/h\(0\)\|\^c is not 3"):
+        bp.integral_check(pair, 3)
+    # u/v = 1/(5 - x) is 2/(4 + t^2) in t, with the residues -+i/2
+    pair = bp.IntegrandPair(IntPoly([1]), IntPoly([5, -1]))
+    with pytest.raises(ValueError, match="^p=2: undecided: "):
+        bp.integral_check(pair, 2)
 
 
 def test_integral_of_zero_numerator_is_zero():
+    # no terms: the integral is the empty sum, log 1
     pair = bp.IntegrandPair(IntPoly([]), IntPoly([20, 4, 1]))
-    assert bp.integral_value(pair, 30) == 0
+    assert bp.integral_check(pair, 1) == ()
+    with pytest.raises(ValueError, match="^p=2: "):
+        bp.integral_check(pair, 2)
 
 
 def _combined_log(p, z_squared, bits=160):

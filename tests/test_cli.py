@@ -394,10 +394,36 @@ def test_wz_verify_derives_only_the_selected_certificates(capsys):
 # ----------------------------------------------------------------------
 
 def test_prove_integral(capsys):
-    code, out, _ = invoke(capsys, ["prove", "--p", "2", "--digits", "35"])
-    assert code == 0
-    assert "PASS" in out
-    assert "u coefficients" in out
+    code, out, err = invoke(capsys, ["prove", "--p", "2", "--digits", "35"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "# log(2) as a beta-type integral",
+        "u coefficients: ['200', '-3', '3']",
+        "v coefficients: ['576', '0', '-1', '1']",
+        "antiderivative in t = sqrt(1-x): 2/3 log|t + 3| - 2/3 log|t - 3| "
+        "+ 1/3 log|t^2 + 3t + 8| - 1/3 log|t^2 - 3t + 8|",
+        "integral = 1 * log(2), exactly",
+        "PASS",
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 10])
+def test_prove_integral_perturbed_row_fails_by_name(capsys, monkeypatch, p):
+    from logseries import seriesdef
+    code, out, err = invoke(capsys, ["prove", "--p", str(p)])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == [f"integral = 1 * log({p}), exactly", "PASS"]
+    row = seriesdef.d2_params(p)
+    for name in "abc":
+        for step in (1, -1):
+            fields = dict(vars(row), **{name: getattr(row, name) + step})
+            monkeypatch.setattr(seriesdef, "d2_params",
+                                lambda _, f=fields: types.SimpleNamespace(**f))
+            code, out, err = invoke(capsys, ["prove", "--p", str(p),
+                                             "--method", "integral"])
+            assert code == 1, (name, step)
+            assert "PASS" not in out
+            assert err.startswith(f"error: p={p}: "), (name, step, err)
 
 
 def test_prove_closed_form(capsys):

@@ -164,6 +164,10 @@ def test_poly_ring_identities():
             q, r = a.divmod(b)
             assert q * b + r == a
             assert r.is_zero() or r.degree() < b.degree()
+        # the product rule, and the derivative of a constant is zero
+        assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+    assert IntPoly([7]).derivative().is_zero()
+    assert IntPoly([5, Fraction(1, 2), 0, 3]).derivative() == IntPoly([Fraction(1, 2), 0, 9])
 
 
 def test_poly_from_linear_factors():
